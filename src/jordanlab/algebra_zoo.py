@@ -6,22 +6,20 @@ the elementary-operator constructions start from.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, field
-from importlib import resources
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 from .jordan_core import (
     JordanAlgebra,
-    algebra_from_json,
     is_projection,
     is_symmetry,
     product,
     u_operator,
 )
 from .numerics import DEFAULT_TOL, Tolerance
+from .octonion import TENSOR as OCT_TENSOR
 
 __all__ = [
     "Frame",
@@ -30,18 +28,13 @@ __all__ = [
     "verify_frame",
     "matrix_jordan",
     "matrix_unit_index",
-    "matrix_element",
     "matrix_coords",
     "permutation_symmetry",
     "spin_factor",
     "spin_frame",
-    "spin_bar",
-    "spin_quadratic_form",
-    "spin_norm",
     "one_dim",
     "albert_algebra",
     "albert_symmetry_catalog",
-    "ALBERT_FIXTURE_SHA256",
     "direct_sum",
     "function_algebra",
     "algebra_by_name",
@@ -101,11 +94,6 @@ def verify_frame(A: JordanAlgebra, frame: Frame, tol: Tolerance = DEFAULT_TOL) -
 
 def matrix_unit_index(n: int, i: int, j: int) -> int:
     return i * n + j
-
-
-def matrix_element(n: int, coords) -> np.ndarray:
-    """Coordinates -> the actual n x n matrix."""
-    return np.asarray(coords, dtype=np.complex128).reshape(n, n)
 
 
 def matrix_coords(M) -> np.ndarray:
@@ -192,39 +180,6 @@ def spin_factor(k: int) -> JordanAlgebra:
                          unit=unit, star=np.eye(k))
 
 
-def spin_bar(a) -> np.ndarray:
-    """The conjugation the spin norm formula uses: coordinate conjugation
-    composed with a sign flip on the f-part (the adjoint of the underlying
-    symmetric-operator picture, not the Jordan star)."""
-    a = np.asarray(a, dtype=np.complex128)
-    out = -np.conj(a)
-    out[0] = np.conj(a[0])
-    return out
-
-
-def spin_quadratic_form(a, b=None) -> complex:
-    """Complex-bilinear form B(a,b) = a0 b0 - sum_{i>=1} a_i b_i.
-
-    B(a,a) equals <a|bar(a)> and controls the square law
-    a^2 = 2 a0 a - B(a,a) 1.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = a if b is None else np.asarray(b, dtype=np.complex128)
-    return complex(a[0] * b[0] - np.dot(a[1:], b[1:]))
-
-
-def spin_norm(V: JordanAlgebra, a) -> float:
-    """JB*-norm on a spin factor:
-    ||a||^2 = ||a||_2^2 + sqrt(||a||_2^4 - |<a|bar(a)>|^2)."""
-    if not V.name.startswith("spin:"):
-        raise ValueError("spin_norm is defined on spin factors only")
-    a = np.asarray(a, dtype=np.complex128)
-    n2 = float(np.vdot(a, a).real)
-    q = abs(spin_quadratic_form(a))
-    inner = max(n2 * n2 - q * q, 0.0)
-    return float(np.sqrt(n2 + np.sqrt(inner)))
-
-
 def spin_frame(V: JordanAlgebra) -> Frame:
     """Two exchanged orthogonal projections: p = (1 +- f_1)/2, swap by s = f_2."""
     k = V.dim
@@ -250,24 +205,6 @@ def one_dim() -> JordanAlgebra:
 # ---------------------------------------------------------------------------
 # the exceptional 27-dimensional algebra
 
-# SHA-256 of the canonical fixture JSON; regeneration drift fails loudly.
-ALBERT_FIXTURE_SHA256 = (
-    "abad97986fb853e8431f720d8d4029a7a26050df97390c06bfca46cda0ed5049")
-
-_albert_cache = {}
-
-
-def _load_albert_fixture() -> JordanAlgebra:
-    if "algebra" not in _albert_cache:
-        data = resources.files("jordanlab.fixtures").joinpath(
-            "albert27.json").read_bytes()
-        digest = hashlib.sha256(data).hexdigest()
-        if digest != ALBERT_FIXTURE_SHA256:
-            raise RuntimeError(
-                f"albert27.json checksum mismatch: {digest}")
-        _albert_cache["algebra"] = algebra_from_json(json.loads(data))
-    return _albert_cache["algebra"]
-
 
 def albert_diag_index(i: int) -> int:
     return i
@@ -280,14 +217,38 @@ def albert_offdiag_index(pos: int, oct_unit: int) -> int:
     return 3 + 8 * pos + oct_unit
 
 
+@functools.cache
+def _albert_structure() -> JordanAlgebra:
+    """The algebra built once per process from the octonion table: the 27
+    basis elements as (3, 3, 8) hermitian matrices, all symmetrized products
+    in one contraction, coordinates read back off."""
+    basis = np.zeros((27, 3, 3, 8))
+    for i in range(3):
+        basis[albert_diag_index(i), i, i, 0] = 1.0
+    for pos, (i, j) in enumerate(_ALBERT_POSITIONS):
+        for k in range(8):
+            b = albert_offdiag_index(pos, k)
+            basis[b, i, j, k] = 1.0
+            basis[b, j, i, k] = 1.0 if k == 0 else -1.0  # octonion conjugate
+    P = np.einsum("aikp,bkjq,pqr->abijr", basis, basis, OCT_TENSOR, optimize=True)
+    sym = 0.5 * (P + P.transpose(1, 0, 2, 3, 4))
+    blocks = [sym[:, :, [0, 1, 2], [0, 1, 2], 0]]
+    blocks += [sym[:, :, i, j] for i, j in _ALBERT_POSITIONS]
+    # + 0.0 turns every -0.0 the contraction leaves into +0.0
+    c = np.concatenate(blocks, axis=2) + 0.0
+    unit = np.zeros(27)
+    unit[:3] = 1.0
+    return JordanAlgebra(name="albert", dim=27, structure=c, unit=unit,
+                         star=np.eye(27))
+
+
 def albert_algebra():
     """Hermitian 3x3 matrices over the complex octonions; 27-dimensional.
 
-    Structure constants come from the checksummed fixture.  Returns
-    (algebra, frame) with the diagonal frame {e_11, e_22, e_33} exchanged by
-    scalar transposition matrices.
+    Returns (algebra, frame) with the diagonal frame {e_11, e_22, e_33}
+    exchanged by scalar transposition matrices.
     """
-    A = _load_albert_fixture()
+    A = _albert_structure()
     projections = []
     for i in range(3):
         p = np.zeros(27, dtype=np.complex128)

@@ -1,9 +1,10 @@
 """Command line interface.
 
 Exit codes: 0 success, 1 verification records failed, 2 unknown algebra or
-suite name, 3 I/O error, 4 invalid frame, 5 kit unusable or kit residual
-too large, 6 precondition rejected (not associating / not bijective),
-7 decomposition failed past the preconditions.
+suite name or bad option value, 3 I/O error or malformed input file, 4 invalid
+frame, 5 kit unusable or kit residual too large, 6 precondition rejected (not
+associating / not symmetric / not bijective), 7 decomposition failed past the
+preconditions.
 
 All JSON output is canonical: sorted keys, floats rendered with 17
 significant digits, no whitespace variation, so identical inputs produce
@@ -175,29 +176,41 @@ def _kit_for_args(args, entry, tol):
     if args.kit:
         try:
             return kit_from_json(_load_json(args.kit), entry.algebra)
-        except (KeyError, ValueError) as ex:
+        except (KeyError, TypeError, ValueError) as ex:
             raise KitMissing(str(ex))
     return build_kit(entry, tol)
+
+
+def _parse_input(args, A):
+    """The --input operand: an n x n matrix, or a trace tensor."""
+    obj = _load_json(args.input)
+    try:
+        if args.target == "trace":
+            return bilinear_from_json(obj, A)
+        M = linop_from_json(obj)
+        if M.shape != (A.dim, A.dim):
+            raise ValueError(f"{M.shape[0]}x{M.shape[1]} matrix, "
+                             f"{A.name} needs {A.dim}x{A.dim}")
+        return M
+    except (KeyError, TypeError, ValueError) as ex:
+        raise _IoError(f"{args.input}: malformed input: {ex}")
 
 
 def cmd_decompose(args) -> int:
     entry = _algebra(args.algebra)
     A = entry.algebra
     tol = _tol(args)
-    obj = _load_json(args.input)
+    operand = _parse_input(args, A)
     try:
         kit = _kit_for_args(args, entry, tol)
         if args.target == "linear":
-            T = linop_from_json(obj)
-            form = decompose_linear(A, T, kit, tol)
+            form = decompose_linear(A, operand, kit, tol)
             doc = linmap_form_to_json(A, form)
         elif args.target == "trace":
-            B = bilinear_from_json(obj, A)
-            form = decompose_trace(A, B, kit, tol)
+            form = decompose_trace(A, operand, kit, tol)
             doc = trace_form_to_json(A, form)
         else:
-            phi = linop_from_json(obj)
-            form = decompose_preserver(A, A, phi, kit, tol)
+            form = decompose_preserver(A, A, operand, kit, tol)
             doc = preserver_to_json(A, A, form)
     except FrameInvalid as ex:
         print(f"frame invalid: {ex}", file=sys.stderr)
@@ -215,10 +228,20 @@ def cmd_decompose(args) -> int:
     return 0
 
 
+def _positive(cast):
+    def parse(text):
+        value = cast(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"{text} is not positive")
+        return value
+    parse.__name__ = cast.__name__
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     env_seed = int(os.environ.get("JORDANLAB_SEED", "0"))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-9,
+    common.add_argument("--tol", type=_positive(float), default=1e-9,
                         help="absolute tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=env_seed,
                         help="master seed (default JORDANLAB_SEED or 0)")
@@ -250,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite",
                          parents=[common])
     ver.add_argument("suite", help="suite name or 'all'")
-    ver.add_argument("--trials", type=int, default=256,
+    ver.add_argument("--trials", type=_positive(int), default=256,
                      help="samples per algebra (default 256)")
     ver.add_argument("--adversarial-rate", type=float, default=0.0)
     ver.add_argument("--format", choices=["json", "md"], default="json")

@@ -27,7 +27,14 @@ from .jordan_core import (
     product,
     star_map_residual,
 )
-from .numerics import DEFAULT_TOL, Tolerance, as_cmatrix, vector_to_json
+from .numerics import (
+    DEFAULT_TOL,
+    Tolerance,
+    as_cmatrix,
+    tensor_from_json,
+    tensor_to_json,
+    vector_to_json,
+)
 
 __all__ = [
     "DecomposeError",
@@ -47,11 +54,11 @@ __all__ = [
     "trace_associating_residual",
     "trace_is_associating",
     "bresar_residual",
+    "standard_trace_tensor",
     "decompose_linear",
     "decompose_trace",
     "decompose_preserver",
     "sharp",
-    "is_symmetric_map",
     "symmetric_preserver_check",
     "opcomm_preservation_sampled",
     "central_annihilator_check",
@@ -185,6 +192,14 @@ def trace_is_associating(A: JordanAlgebra, B: BilinearMap,
     return trace_associating_residual(A, B) <= tol.abs_eps
 
 
+def _require_associating(A, B: BilinearMap, tol, what: str):
+    sym = B.symmetry_residual()
+    if sym > tol.abs_eps:
+        raise NotAssociating(f"{what} is not symmetric: residual {sym:.3e}")
+    if not trace_is_associating(A, B, tol):
+        raise NotAssociating(f"{what} fails the cyclic associator certificate")
+
+
 def bresar_residual(A: JordanAlgebra, B: BilinearMap) -> float:
     """max over basis triples of |2[B(x,y),a,y] + [B(y,y),a,x]|."""
     n = A.dim
@@ -272,13 +287,13 @@ def _trace_mu_nu(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
     return mu, BilinearMap(A, nu_t)
 
 
-def _trace_reconstruction_residual(A, B, lam, mu, nu) -> float:
+def standard_trace_tensor(A: JordanAlgebra, lam, mu, nu_t) -> np.ndarray:
+    """Tensor of the standard form
+    B(x,y) = lambda o (x o y) + (mu(x) o y + mu(y) o x)/2 + nu(x,y)."""
     c = A.structure
-    m_lam = mult_operator(A, lam)
-    t_lam = np.einsum("ijm,lm->ijl", c, m_lam, optimize=True)
+    t = np.einsum("ijm,lm->ijl", c, mult_operator(A, lam), optimize=True)
     half = np.einsum("mi,mjl->ijl", mu, c, optimize=True)
-    t_mu = 0.5 * (half + half.transpose(1, 0, 2))
-    return float(np.abs(B.tensor - t_lam - t_mu - nu.tensor).max())
+    return t + 0.5 * (half + half.transpose(1, 0, 2)) + nu_t
 
 
 def _extract_trace(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
@@ -305,10 +320,11 @@ def decompose_trace(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
     there, and the lambda terms drop out.
     """
     kit = _kit_for(A, kit)
-    if check and not trace_is_associating(A, B, tol):
-        raise NotAssociating("trace fails the cyclic associator certificate")
+    if check:
+        _require_associating(A, B, tol, "trace")
     lam, mu, nu = _extract_trace(A, B, kit, tol)
-    recon = _trace_reconstruction_residual(A, B, lam, mu, nu)
+    recon = float(np.abs(
+        B.tensor - standard_trace_tensor(A, lam, mu, nu.tensor)).max())
     central = _center_column_residual(A, lam.reshape(-1, 1), tol)
     mu_central = _center_column_residual(A, mu, tol)
     nu_central = _center_column_residual(
@@ -358,8 +374,8 @@ def decompose_preserver(A: JordanAlgebra, B_alg: JordanAlgebra, phi,
         raise NotBijective("map shape does not match the algebras")
     _inverse_or_raise(phi)
     B = induced_trace(A, B_alg, phi)
-    if check and not trace_is_associating(B_alg, B, tol):
-        raise NotAssociating("induced trace is not associating")
+    if check:
+        _require_associating(B_alg, B, tol, "induced trace")
     lam, mu1, nu1 = _extract_trace(B_alg, B, kit, tol)
     J = (mult_operator(B_alg, lam) + 0.5 * mu1) @ phi
     hom_res = jordan_homomorphism_residual(A, B_alg, J)
@@ -388,12 +404,6 @@ def sharp(phi, A: JordanAlgebra, B_alg: JordanAlgebra) -> np.ndarray:
     """phi_sharp(x) = phi(x*)*; as matrices S_B conj(phi) conj(S_A)."""
     phi = as_cmatrix(phi)
     return B_alg.star @ np.conj(phi) @ np.conj(A.star)
-
-
-def is_symmetric_map(phi, A: JordanAlgebra, B_alg: JordanAlgebra,
-                     tol: Tolerance = DEFAULT_TOL) -> bool:
-    phi = as_cmatrix(phi)
-    return bool(np.abs(sharp(phi, A, B_alg) - phi).max() <= tol.abs_eps)
 
 
 def symmetric_preserver_check(A: JordanAlgebra, B_alg: JordanAlgebra,
@@ -550,19 +560,11 @@ def mixed_products_check(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
 
 
 def bilinear_to_json(B: BilinearMap) -> dict:
-    entries = []
-    t = B.tensor
-    for i, j, k in zip(*np.nonzero(np.abs(t) > 0)):
-        z = t[i, j, k]
-        entries.append([int(i), int(j), int(k), float(z.real), float(z.imag)])
-    return {"algebra": B.algebra.name, "tensor": entries}
+    return {"algebra": B.algebra.name, "tensor": tensor_to_json(B.tensor)}
 
 
 def bilinear_from_json(obj: dict, A: JordanAlgebra) -> BilinearMap:
-    t = np.zeros((A.dim, A.dim, A.dim), dtype=np.complex128)
-    for i, j, k, re, im in obj["tensor"]:
-        t[int(i), int(j), int(k)] = complex(re, im)
-    return BilinearMap(A, t)
+    return BilinearMap(A, tensor_from_json(obj["tensor"], A.dim))
 
 
 def linmap_form_to_json(A: JordanAlgebra, form: LinMapStandardForm) -> dict:

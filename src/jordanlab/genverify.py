@@ -34,6 +34,7 @@ from .decompose import (
     decompose_trace,
     mixed_products_check,
     sharp,
+    standard_trace_tensor,
     symmetric_preserver_check,
     trace_associating_residual,
 )
@@ -252,13 +253,6 @@ def make_associating_map(name: str, seed: int,
     return GeneratedMap(mult_operator(A, lam) + mu, lam, mu)
 
 
-def _trace_tensor(A: JordanAlgebra, lam, mu, nu_t) -> np.ndarray:
-    c = A.structure
-    t = np.einsum("ijm,lm->ijl", c, mult_operator(A, lam), optimize=True)
-    half = np.einsum("mi,mjl->ijl", mu, c, optimize=True)
-    return t + 0.5 * (half + half.transpose(1, 0, 2)) + nu_t
-
-
 def _center_valued_bilinear(A: JordanAlgebra, seed: int,
                             magnitude: float) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -280,7 +274,7 @@ def make_associating_trace(name: str, seed: int,
     lam = random_central(A, derive_seed(seed, "lam"), magnitude)
     mu = _center_valued_map(A, derive_seed(seed, "mu"), magnitude)
     nu_t = _center_valued_bilinear(A, derive_seed(seed, "nu"), magnitude)
-    tensor = _trace_tensor(A, lam, mu, nu_t)
+    tensor = standard_trace_tensor(A, lam, mu, nu_t)
     if not name.startswith("spin:"):
         return GeneratedTrace(BilinearMap(A, tensor), lam, mu, nu_t)
     # absorbed targets: x^2 = 2 x_0 x - q(x,x) 1 with q = diag(1,-1,..,-1)

@@ -20,8 +20,9 @@ from .numerics import (
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    scalar_to_json,
     solve_linear,
+    tensor_from_json,
+    tensor_to_json,
     vector_from_json,
     vector_to_json,
 )
@@ -34,7 +35,6 @@ __all__ = [
     "u_operator",
     "element_power",
     "star_apply",
-    "operator_commute",
     "commutant",
     "center_basis",
     "center_matrix",
@@ -44,9 +44,7 @@ __all__ = [
     "is_projection",
     "is_symmetry",
     "jordan_homomorphism_residual",
-    "is_jordan_homomorphism",
     "star_map_residual",
-    "is_star_map",
     "check_axioms",
     "algebra_to_json",
     "algebra_from_json",
@@ -69,7 +67,7 @@ class JordanAlgebra:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("empty algebras are rejected")
-        self.structure = np.asarray(self.structure, dtype=np.complex128)
+        self.structure = np.ascontiguousarray(self.structure, dtype=np.complex128)
         self.unit = as_cvector(self.unit)
         self.star = as_cmatrix(self.star)
         n = self.dim
@@ -135,12 +133,6 @@ def star_apply(A: JordanAlgebra, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     _check_dim(A, x)
     return A.star @ np.conj(x)
-
-
-def operator_commute(A: JordanAlgebra, a, b, tol: Tolerance = DEFAULT_TOL) -> bool:
-    Ma = mult_operator(A, a)
-    Mb = mult_operator(A, b)
-    return bool(np.abs(Ma @ Mb - Mb @ Ma).max() <= tol.abs_eps)
 
 
 def commutant(A: JordanAlgebra, x, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -249,21 +241,10 @@ def jordan_homomorphism_residual(A: JordanAlgebra, B: JordanAlgebra, J) -> float
     return float(np.abs(lhs - rhs).max())
 
 
-def is_jordan_homomorphism(A: JordanAlgebra, B: JordanAlgebra, J,
-                           tol: Tolerance = DEFAULT_TOL) -> bool:
-    """J(x o y) = J(x) o J(y) over all basis pairs, residual <= abs_eps."""
-    return jordan_homomorphism_residual(A, B, J) <= tol.abs_eps
-
-
 def star_map_residual(A: JordanAlgebra, B: JordanAlgebra, J) -> float:
+    """max |J(x*) - J(x)*|, as the matrix identity J S_A = S_B conj(J)."""
     J = np.asarray(J, dtype=np.complex128)
     return float(np.abs(J @ A.star - B.star @ np.conj(J)).max())
-
-
-def is_star_map(A: JordanAlgebra, B: JordanAlgebra, J,
-                tol: Tolerance = DEFAULT_TOL) -> bool:
-    """J(x*) = J(x)* for all x, as the matrix identity J S_A = S_B conj(J)."""
-    return star_map_residual(A, B, J) <= tol.abs_eps
 
 
 def check_axioms(A: JordanAlgebra, samples: int = 50, seed: int = 0,
@@ -305,30 +286,21 @@ def check_axioms(A: JordanAlgebra, samples: int = 50, seed: int = 0,
 
 
 def algebra_to_json(A: JordanAlgebra) -> dict:
-    nz = np.argwhere(A.structure != 0)
-    structure = [
-        [int(i), int(j), int(k),
-         float(A.structure[i, j, k].real), float(A.structure[i, j, k].imag)]
-        for i, j, k in nz
-    ]
     return {
         "name": A.name,
         "dim": A.dim,
         "unit": vector_to_json(A.unit),
-        "structure": structure,
+        "structure": tensor_to_json(A.structure),
         "star": matrix_to_json(A.star),
     }
 
 
 def algebra_from_json(obj: dict) -> JordanAlgebra:
     n = int(obj["dim"])
-    c = np.zeros((n, n, n), dtype=np.complex128)
-    for i, j, k, re, im in obj["structure"]:
-        c[int(i), int(j), int(k)] = complex(float(re), float(im))
     return JordanAlgebra(
         name=str(obj["name"]),
         dim=n,
-        structure=c,
+        structure=tensor_from_json(obj["structure"], n),
         unit=vector_from_json(obj["unit"]),
         star=matrix_from_json(obj["star"]),
     )

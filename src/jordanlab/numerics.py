@@ -1,9 +1,10 @@
-"""Shared numerical kernel: tolerance policy, linear solves, kernels, norms.
+"""Shared numerical kernel: tolerance policy, linear solves, kernels.
 
 Everything downstream works with numpy complex128 arrays.  The JSON casing
 used by the CLI lives here too so each module serializes the same way:
 a complex scalar is ``[re, im]``, a matrix is ``{"rows", "cols", "data"}``
-with row-major data.
+with row-major data, and an (n, n, n) tensor is the list of its nonzero
+entries as ``[i, j, k, re, im]`` rows.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ __all__ = [
     "DEFAULT_TOL",
     "solve_linear",
     "kernel_basis",
-    "operator_norm_estimate",
-    "approx_zero",
     "require_finite",
     "as_cvector",
     "as_cmatrix",
@@ -28,6 +27,8 @@ __all__ = [
     "vector_from_json",
     "matrix_to_json",
     "matrix_from_json",
+    "tensor_to_json",
+    "tensor_from_json",
 ]
 
 
@@ -36,13 +37,10 @@ class Tolerance:
     """Single knob for all tolerance-based equality in the package."""
 
     abs_eps: float = 1e-9
-    norm_trials: int = 2000
 
     def __post_init__(self):
         if not self.abs_eps > 0:
             raise ValueError("abs_eps must be positive")
-        if self.norm_trials < 1:
-            raise ValueError("norm_trials must be a positive integer")
 
 
 DEFAULT_TOL = Tolerance()
@@ -109,50 +107,6 @@ def kernel_basis(A, tol: Tolerance = DEFAULT_TOL) -> list:
     return [vh[i].conj() for i in range(rank, ncols)]
 
 
-def operator_norm_estimate(A, trials: int = None, seed: int = 0,
-                           tol: Tolerance = DEFAULT_TOL) -> float:
-    """Lower estimate of the spectral norm by seeded power iteration.
-
-    Deterministic given (trials, seed); monotone nondecreasing in trials
-    because every restart can only raise the running maximum.
-    """
-    A = np.asarray(A, dtype=np.complex128)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("operator_norm_estimate expects a square matrix")
-    n = A.shape[0]
-    if n == 0:
-        return 0.0
-    if trials is None:
-        trials = tol.norm_trials
-    rng = np.random.default_rng(seed)
-    H = A.conj().T @ A
-    best = 0.0
-    # Restart vectors drawn per-trial from one stream so an estimate with
-    # more trials extends (never reshuffles) the smaller one: monotonicity
-    # in `trials` then holds exactly, not just statistically.
-    draws = rng.standard_normal((trials, 2 * n))
-    batch = (draws[:, :n] + 1j * draws[:, n:]).T
-    batch = batch / np.linalg.norm(batch, axis=0)
-    for _ in range(25):
-        batch = H @ batch
-        norms = np.linalg.norm(batch, axis=0)
-        norms[norms == 0.0] = 1.0
-        batch /= norms
-    Av = A @ batch
-    # Rayleigh-quotient style estimate ||Av||/||v|| with unit v: a lower bound
-    est = np.linalg.norm(Av, axis=0).max()
-    best = max(best, float(est))
-    return best
-
-
-def approx_zero(v, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff every entry of the vector/matrix has modulus <= abs_eps."""
-    v = np.asarray(v, dtype=np.complex128)
-    if v.size == 0:
-        return True
-    return bool(np.abs(v).max() <= tol.abs_eps)
-
-
 # ---------------------------------------------------------------------------
 # JSON casing
 
@@ -190,3 +144,27 @@ def matrix_from_json(obj) -> np.ndarray:
     if len(data) != rows * cols:
         raise ValueError("matrix data length does not match rows*cols")
     return as_cmatrix(np.array(data, dtype=np.complex128).reshape(rows, cols))
+
+
+def tensor_to_json(t) -> list:
+    idx = np.argwhere(t != 0)
+    vals = t[tuple(idx.T)]
+    return [[i, j, k, re, im] for (i, j, k), re, im in
+            zip(idx.tolist(), vals.real.tolist(), vals.imag.tolist())]
+
+
+def tensor_from_json(rows, n: int) -> np.ndarray:
+    """Dense (n, n, n) tensor; rejects bad rows, indices and values."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.size == 0:
+        rows = rows.reshape(0, 5)
+    if rows.ndim != 2 or rows.shape[1] != 5:
+        raise ValueError("tensor entries must be [i, j, k, re, im] rows")
+    idx = rows[:, :3]
+    if np.any((idx < 0) | (idx >= n) | (idx != np.floor(idx))):
+        raise ValueError(f"tensor index out of range for dimension {n}")
+    vals = np.empty(len(rows), dtype=np.complex128)
+    vals.real, vals.imag = rows[:, 3], rows[:, 4]
+    t = np.zeros((n, n, n), dtype=np.complex128)
+    t[tuple(idx.T.astype(int))] = vals
+    return require_finite(t)

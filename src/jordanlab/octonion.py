@@ -4,8 +4,8 @@ exceptional Jordan algebra of hermitian 3x3 octonionic matrices.
 The multiplication table below is frozen.  It was generated once by an
 independent Cayley-Dickson doubling (reals -> complexes -> quaternions ->
 octonions with (a,b)(c,d) = (ac - conj(d)b, da + b conj(c))) and pinned to
-the convention e1e2=e3, e1e4=e5, e2e4=e6, e3e4=e7.  The generator lives in
-scripts/gen_albert_fixture.py; tests regenerate and compare.
+the convention e1e2=e3, e1e4=e5, e2e4=e6, e3e4=e7; the tests redo the
+doubling and compare.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import numpy as np
 
 from .numerics import as_cvector
 
-__all__ = ["SIGN", "IDX", "oct_unit", "oct_mul", "oct_conj", "oct_table_dump"]
+__all__ = ["SIGN", "IDX", "TENSOR", "oct_unit", "oct_mul", "oct_conj"]
 
 # e_i * e_j = SIGN[i][j] * e_{IDX[i][j]}
 SIGN = (
@@ -38,11 +38,11 @@ IDX = (
     (7, 6, 5, 4, 3, 2, 1, 0),
 )
 
-# dense (8,8,8) tensor: e_i e_j = sum_k _T[i,j,k] e_k; handy for vectorizing
-_T = np.zeros((8, 8, 8))
+# dense (8,8,8) tensor: e_i e_j = sum_k TENSOR[i,j,k] e_k; handy for vectorizing
+TENSOR = np.zeros((8, 8, 8))
 for _i in range(8):
     for _j in range(8):
-        _T[_i, _j, IDX[_i][_j]] = SIGN[_i][_j]
+        TENSOR[_i, _j, IDX[_i][_j]] = SIGN[_i][_j]
 
 
 def oct_unit(k: int) -> np.ndarray:
@@ -57,7 +57,7 @@ def oct_mul(a, b) -> np.ndarray:
     b = as_cvector(b)
     if a.shape != (8,) or b.shape != (8,):
         raise ValueError("octonions have 8 coefficients")
-    return np.einsum("i,j,ijk->k", a, b, _T)
+    return np.einsum("i,j,ijk->k", a, b, TENSOR)
 
 
 def oct_conj(a) -> np.ndarray:
@@ -67,7 +67,3 @@ def oct_conj(a) -> np.ndarray:
     out[0] = a[0]
     return out
 
-
-def oct_table_dump() -> dict:
-    """The exact table oct_mul uses, as {"i,j": [sign, k]}."""
-    return {f"{i},{j}": [SIGN[i][j], IDX[i][j]] for i in range(8) for j in range(8)}

@@ -16,7 +16,7 @@ from jordanlab.genverify import (
     make_standard_preserver,
 )
 from jordanlab.jordan_core import linop_to_json
-from jordanlab.decompose import bilinear_to_json
+from jordanlab.decompose import BilinearMap, bilinear_to_json
 
 
 def run_cli(*args, env=None):
@@ -147,6 +147,62 @@ def test_decompose_broken_preserver_exits_6_or_7(tmp_path):
     assert r.returncode in (6, 7)
 
 
+def _malformed_input(case):
+    """(target, document) for one malformed --input file on matrix:3."""
+    A = algebra_by_name("matrix:3").algebra
+    lin = linop_to_json(A, np.eye(9))
+    trace = bilinear_to_json(make_associating_trace("matrix:3", 22).bilinear)
+    rows = trace["tensor"]
+    if case == "data_string":
+        lin["matrix"]["data"] = "x"
+    elif case == "nan_entry":
+        lin["matrix"]["data"][4] = [float("nan"), 0.0]
+    elif case == "wrong_shape":
+        lin = linop_to_json(A, np.eye(4))
+    elif case == "trace_nan_entry":
+        rows[0][3] = float("nan")
+    elif case == "trace_index_too_large":
+        rows[0][2] = 9
+    elif case == "trace_index_negative":
+        rows[0][0] = -1
+    return ("trace", trace) if case.startswith("trace") else ("linear", lin)
+
+
+@pytest.mark.parametrize("case", [
+    "data_string", "nan_entry", "wrong_shape", "trace_nan_entry",
+    "trace_index_too_large", "trace_index_negative"])
+def test_malformed_input_exits_3(tmp_path, case):
+    target, doc = _malformed_input(case)
+    inp = tmp_path / "bad.json"
+    inp.write_text(json.dumps(doc))
+    r = run_cli("decompose", target, "--algebra", "matrix:3",
+                "--input", str(inp))
+    assert r.returncode == 3, r.stderr
+    assert str(inp) in r.stderr and "Traceback" not in r.stderr
+
+
+def test_asymmetric_trace_exits_6(tmp_path):
+    gen = make_associating_trace("matrix:3", 22)
+    t = gen.bilinear.tensor.copy()
+    t[0, 1, 2] += 0.1
+    inp = tmp_path / "asym.json"
+    inp.write_text(json.dumps(bilinear_to_json(BilinearMap(gen.bilinear.algebra, t))))
+    r = run_cli("decompose", "trace", "--algebra", "matrix:3",
+                "--input", str(inp))
+    assert r.returncode == 6, r.stderr
+    assert "not symmetric" in r.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "central_annihilator", "--trials", "0"),
+    ("verify", "central_annihilator", "--tol", "-1"),
+])
+def test_bad_flag_value_exits_2(args):
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
 def test_missing_input_exits_3(tmp_path):
     r = run_cli("decompose", "linear", "--algebra", "matrix:3",
                 "--input", str(tmp_path / "absent.json"))
@@ -164,6 +220,17 @@ def test_wrong_kit_exits_5(tmp_path):
     r = run_cli("decompose", "linear", "--algebra", "matrix:3",
                 "--input", str(inp), "--kit", str(kit4))
     assert r.returncode == 5
+
+
+def test_malformed_kit_exits_5(tmp_path):
+    A = algebra_by_name("matrix:3").algebra
+    kit = tmp_path / "kit.json"
+    kit.write_text(json.dumps({"E0": 5, "E1": 5, "u": 5}))
+    inp = tmp_path / "lin.json"
+    inp.write_text(json.dumps(linop_to_json(A, np.eye(9))))
+    r = run_cli("decompose", "linear", "--algebra", "matrix:3",
+                "--input", str(inp), "--kit", str(kit))
+    assert r.returncode == 5, r.stderr
 
 
 def test_canonical_float_format(tmp_path):

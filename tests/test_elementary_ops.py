@@ -15,7 +15,6 @@ from jordanlab.elementary_ops import (
     FrameInvalid,
     build_kit,
     build_kit_spin,
-    glue_kits,
     kit_from_json,
     kit_to_json,
     verify_kit,
@@ -44,6 +43,19 @@ def test_kit_kronecker_exact(name):
     kit = build_kit(algebra_by_name(name))
     table = kronecker_table(kit)
     assert max(table.values()) < 1e-12, table
+
+
+# squared spectral norms of E0, E1 (, E2) on the canonical kits
+KIT_NORMS_SQUARED = {"matrix:3": [3.0, 1.5, 6.0], "matrix:4": [4.0, 2.0, 8.0],
+                     "albert": [3.0, 3.0, 6.0], "spin:4": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("name", sorted(KIT_NORMS_SQUARED))
+def test_kit_norms_closed_form(name):
+    want = np.sqrt(KIT_NORMS_SQUARED[name])
+    norms = verify_kit(build_kit(algebra_by_name(name)))["norm_estimates"]
+    got = np.array([norms[f"E{i}"] for i in range(len(want))])
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_matrix3_kit_u_is_offdiagonal_symmetry_part():
@@ -122,16 +134,6 @@ def test_gluing_matrix_with_spin_drops_e2():
     kit = build_kit(entry)
     assert not kit.has_e2()       # spin summand has no E2 to contribute
     assert verify_kit(kit, TOL)["passed"]
-
-
-def test_glue_kits_direct():
-    k3 = build_kit(algebra_by_name("matrix:3"))
-    k4 = build_kit(algebra_by_name("matrix:4"))
-    kit = glue_kits(k3, k4)
-    assert kit.algebra.dim == 25
-    assert verify_kit(kit, TOL)["passed"]
-    E0 = kit.e_ops[0]
-    assert np.abs(E0[:9, 9:]).max() == 0.0    # block diagonal
 
 
 def test_function_power_kit():

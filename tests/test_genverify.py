@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from jordanlab.algebra_zoo import algebra_by_name
+from jordanlab.elementary_ops import build_kit
 from jordanlab.decompose import (
+    JNotMultiplicative,
     associating_linear_residual,
+    decompose_preserver,
     is_associating_linear,
     trace_is_associating,
 )
@@ -29,11 +32,11 @@ from jordanlab.genverify import (
 )
 from jordanlab.jordan_core import (
     in_center_span,
-    is_jordan_homomorphism,
-    is_star_map,
     is_symmetry,
+    jordan_homomorphism_residual,
     jordan_inverse,
     mult_operator,
+    star_map_residual,
 )
 
 
@@ -65,8 +68,8 @@ def test_random_symmetry_and_automorphism(name):
     for k in range(3):
         assert is_symmetry(A, random_symmetry(name, k))
     J = random_inner_automorphism(name, 2, 0)
-    assert is_jordan_homomorphism(A, A, J)
-    assert is_star_map(A, A, J)
+    assert jordan_homomorphism_residual(A, A, J) <= 1e-9
+    assert star_map_residual(A, A, J) <= 1e-9
 
 
 def test_inner_automorphism_empty_word_is_identity():
@@ -120,6 +123,21 @@ def test_generated_preserver_reconstructs():
         assert np.abs(gen.op - recon).max() < 1e-12
         sv = np.linalg.svd(gen.op, compute_uv=False)
         assert sv[-1] > 1e-8 * sv[0]
+
+
+# Known defect (ROADMAP item 2): the absolute 1e-9 bound on the J residual
+# rejects these ill-conditioned symmetric preservers (cond 6e5, 2e5, 4e4;
+# J residuals 9.8e-7, 8.3e-9, 1.3e-9) although the generated J is exact.
+@pytest.mark.xfail(strict=True, raises=JNotMultiplicative,
+                   reason="absolute J tolerance; ROADMAP item 2")
+@pytest.mark.parametrize("seed", [2996307061732697307, 2728324383677764035,
+                                  10402543506267917])
+def test_ill_conditioned_symmetric_preserver(seed):
+    name = "sum:matrix:3+matrix:4"
+    entry = algebra_by_name(name)
+    A = entry.algebra
+    gen = make_standard_preserver(name, seed, symmetric=True)
+    decompose_preserver(A, A, gen.op, build_kit(entry), check=False)
 
 
 def test_adversarial_kinds():

@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 from jordanlab.numerics import (
     DEFAULT_TOL,
     Tolerance,
-    approx_zero,
     as_cmatrix,
     as_cvector,
     kernel_basis,
     matrix_from_json,
     matrix_to_json,
-    operator_norm_estimate,
     require_finite,
     scalar_from_json,
     scalar_to_json,
@@ -26,8 +24,6 @@ def test_tolerance_validation():
         Tolerance(abs_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(abs_eps=-1e-9)
-    with pytest.raises(ValueError):
-        Tolerance(norm_trials=0)
     assert DEFAULT_TOL.abs_eps == 1e-9
 
 
@@ -68,31 +64,6 @@ def test_kernel_basis_rank_one():
 
 def test_kernel_basis_full_rank():
     assert kernel_basis(np.eye(3)) == []
-
-
-def test_operator_norm_lower_bound_and_quality():
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        M = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-        true = np.linalg.norm(M, 2)
-        est = operator_norm_estimate(M, trials=50, seed=1)
-        assert est <= true + 1e-9
-        assert est >= 0.9 * true
-
-
-def test_operator_norm_deterministic_and_monotone():
-    M = np.diag([3.0, 1.0, 0.5])
-    a = operator_norm_estimate(M, trials=10, seed=4)
-    b = operator_norm_estimate(M, trials=10, seed=4)
-    c = operator_norm_estimate(M, trials=40, seed=4)
-    assert a == b
-    assert c >= a
-    assert abs(c - 3.0) < 1e-9
-
-
-def test_approx_zero():
-    assert approx_zero(np.zeros(3))
-    assert not approx_zero(np.array([1e-3]))
 
 
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from jordanlab.octonion import oct_conj, oct_mul, oct_table_dump, oct_unit
+from jordanlab.octonion import oct_conj, oct_mul, oct_unit
 
 
 def cd_conj(a):
@@ -85,11 +85,3 @@ def test_conj_antiautomorphism(x, y):
     rhs = oct_mul(oct_conj(y), oct_conj(x))
     assert np.abs(lhs - rhs).max() < 1e-9
 
-
-def test_table_dump_shape():
-    table = oct_table_dump()
-    assert len(table) == 64
-    sign, k = table["1,2"]
-    assert (sign, k) == (1, 3)
-    sign, k = table["2,1"]
-    assert (sign, k) == (-1, 3)
