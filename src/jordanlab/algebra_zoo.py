@@ -108,14 +108,10 @@ def permutation_symmetry(n: int, perm) -> np.ndarray:
     listed or not; fixed points implied).  The result is a symmetry element
     of matrix_jordan(n) exchanging e_ii and e_jj under U_s.
     """
-    full = {i: i for i in range(n)}
+    full = np.arange(n)
     for i, j in perm.items():
-        full[i] = j
-        full[j] = i
-    M = np.zeros((n, n), dtype=np.complex128)
-    for i, j in full.items():
-        M[i, j] = 1.0
-    return matrix_coords(M)
+        full[i], full[j] = j, i
+    return matrix_coords(np.eye(n)[full])
 
 
 def matrix_jordan(n: int):
@@ -127,24 +123,12 @@ def matrix_jordan(n: int):
     if n < 2:
         raise ValueError("matrix_jordan needs n >= 2")
     dim = n * n
-    c = np.zeros((dim, dim, dim), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            a = matrix_unit_index(n, i, j)
-            for k in range(n):
-                for l in range(n):
-                    b = matrix_unit_index(n, k, l)
-                    # e_ij e_kl = delta_jk e_il
-                    if j == k:
-                        c[a, b, matrix_unit_index(n, i, l)] += 0.5
-                    if l == i:
-                        c[a, b, matrix_unit_index(n, k, j)] += 0.5
+    E = np.eye(dim).reshape(dim, n, n)          # E[a] = e_ij, a = i*n + j
+    P = np.einsum("aij,bjk->abik", E, E)        # P[a, b] = E[a] E[b]
+    c = (0.5 * (P + P.transpose(1, 0, 2, 3))).reshape(dim, dim, dim)
     unit = matrix_coords(np.eye(n))
     # conjugate transpose: coordinate conjugation then index transposition
-    S = np.zeros((dim, dim))
-    for i in range(n):
-        for j in range(n):
-            S[matrix_unit_index(n, i, j), matrix_unit_index(n, j, i)] = 1.0
+    S = np.eye(dim)[np.arange(dim).reshape(n, n).T.ravel()]
     A = JordanAlgebra(name=f"matrix:{n}", dim=dim, structure=c, unit=unit, star=S)
     projections = [matrix_coords(np.outer(np.eye(n)[i], np.eye(n)[i]))
                    for i in range(n)]
@@ -169,11 +153,8 @@ def spin_factor(k: int) -> JordanAlgebra:
     if k < 3:
         raise ValueError("spin_factor needs k >= 3")
     c = np.zeros((k, k, k), dtype=np.complex128)
-    c[0, 0, 0] = 1.0
-    for i in range(1, k):
-        c[0, i, i] = 1.0
-        c[i, 0, i] = 1.0
-        c[i, i, 0] = 1.0
+    f = np.arange(1, k)
+    c[0, 0, 0] = c[0, f, f] = c[f, 0, f] = c[f, f, 0] = 1.0
     unit = np.zeros(k, dtype=np.complex128)
     unit[0] = 1.0
     return JordanAlgebra(name=f"spin:{k}", dim=k, structure=c,
@@ -249,11 +230,8 @@ def albert_algebra():
     exchanged by scalar transposition matrices.
     """
     A = _albert_structure()
-    projections = []
-    for i in range(3):
-        p = np.zeros(27, dtype=np.complex128)
-        p[albert_diag_index(i)] = 1.0
-        projections.append(p)
+    projections = [np.eye(27, dtype=np.complex128)[albert_diag_index(i)]
+                   for i in range(3)]
 
     def transposition(i, j, fixed):
         s = np.zeros(27, dtype=np.complex128)
@@ -333,8 +311,7 @@ def function_algebra(A: JordanAlgebra, m: int):
     """
     if m < 1:
         raise ValueError("function_algebra needs m >= 1")
-    out, summands = direct_sum([A] * m, name=f"func:{A.name}:{m}")
-    return out, summands
+    return direct_sum([A] * m, name=f"func:{A.name}:{m}")
 
 
 # ---------------------------------------------------------------------------

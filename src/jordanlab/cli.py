@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 verification records failed, 2 unknown algebra or
 suite name or bad option value, 3 I/O error or malformed input file, 4 invalid
-frame, 5 kit unusable or kit residual too large, 6 precondition rejected (not
-associating / not symmetric / not bijective), 7 decomposition failed past the
-preconditions.
+frame, 5 kit unusable, kit residual too large, or a --kit file that fails
+verification, 6 precondition rejected (not associating / not symmetric / not
+bijective), 7 decomposition failed past the preconditions.
 
 All JSON output is canonical: sorted keys, floats rendered with 17
 significant digits, no whitespace variation, so identical inputs produce
@@ -123,6 +123,14 @@ def cmd_zoo(args) -> int:
     return 0
 
 
+_KIT_QUANTITIES = ("kronecker_max", "norm_max", "star_symmetry", "central_linearity")
+
+
+def _kit_residuals(report) -> str:
+    """The verify_kit quantities; norm_max is bounded by 10, the rest by tol."""
+    return ", ".join(f"{k} {report[k]:.3e}" for k in _KIT_QUANTITIES)
+
+
 def cmd_kit(args) -> int:
     entry = _algebra(args.algebra)
     tol = _tol(args)
@@ -133,17 +141,10 @@ def cmd_kit(args) -> int:
         return EXIT_FRAME
     report = verify_kit(kit, tol, seed=args.seed)
     doc = kit_to_json(kit)
-    doc["verification"] = {
-        "kronecker_max": report["kronecker_max"],
-        "norm_max": report["norm_max"],
-        "star_symmetry": report["star_symmetry"],
-        "central_linearity": report["central_linearity"],
-        "passed": report["passed"],
-    }
+    doc["verification"] = {k: report[k] for k in _KIT_QUANTITIES + ("passed",)}
     _emit(canonical_json(doc), args.out)
     if not report["passed"]:
-        print(f"kit residual too large: kronecker {report['kronecker_max']:.3e}, "
-              f"norm {report['norm_max']:.3e}", file=sys.stderr)
+        print(f"kit residual too large: {_kit_residuals(report)}", file=sys.stderr)
         return EXIT_KIT
     return 0
 
@@ -173,12 +174,18 @@ def cmd_verify(args) -> int:
 
 
 def _kit_for_args(args, entry, tol):
-    if args.kit:
-        try:
-            return kit_from_json(_load_json(args.kit), entry.algebra)
-        except (KeyError, TypeError, ValueError) as ex:
-            raise KitMissing(str(ex))
-    return build_kit(entry, tol)
+    """The canonical kit, or the --kit file once it passes verify_kit."""
+    if not args.kit:
+        return build_kit(entry, tol)
+    try:
+        kit = kit_from_json(_load_json(args.kit), entry.algebra)
+    except (KeyError, TypeError, ValueError) as ex:
+        raise KitMissing(str(ex))
+    rep = verify_kit(kit, tol, seed=args.seed)
+    if not rep["passed"]:
+        raise KitMissing(f"{args.kit} fails verification at tol "
+                         f"{tol.abs_eps:.1e}: {_kit_residuals(rep)}")
+    return kit
 
 
 def _parse_input(args, A):
@@ -228,11 +235,11 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _positive(cast):
+def _checked(cast, ok, what):
     def parse(text):
         value = cast(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"{text} is not positive")
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
         return value
     parse.__name__ = cast.__name__
     return parse
@@ -241,7 +248,8 @@ def _positive(cast):
 def build_parser() -> argparse.ArgumentParser:
     env_seed = int(os.environ.get("JORDANLAB_SEED", "0"))
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=_positive(float), default=1e-9,
+    common.add_argument("--tol", default=1e-9,
+                        type=_checked(float, lambda v: v > 0, "positive"),
                         help="absolute tolerance (default 1e-9)")
     common.add_argument("--seed", type=int, default=env_seed,
                         help="master seed (default JORDANLAB_SEED or 0)")
@@ -273,9 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run a verification suite",
                          parents=[common])
     ver.add_argument("suite", help="suite name or 'all'")
-    ver.add_argument("--trials", type=_positive(int), default=256,
+    ver.add_argument("--trials", default=256,
+                     type=_checked(int, lambda v: v > 0, "positive"),
                      help="samples per algebra (default 256)")
-    ver.add_argument("--adversarial-rate", type=float, default=0.0)
+    ver.add_argument("--adversarial-rate", default=0.0,
+                     type=_checked(float, lambda v: 0 <= v <= 1, "in [0, 1]"),
+                     help="share of adversarial linear samples (default 0)")
     ver.add_argument("--format", choices=["json", "md"], default="json")
 
     dec = sub.add_parser("decompose", help="standard-form decompositions",

@@ -24,7 +24,6 @@ from .jordan_core import (
     jordan_inverse,
     linop_to_json,
     mult_operator,
-    product,
     star_map_residual,
 )
 from .numerics import (
@@ -139,9 +138,6 @@ class PreserverDecomposition:
     J: np.ndarray
     beta: np.ndarray
     residual: float
-    mu1: np.ndarray = None
-    nu1: BilinearMap = None
-    alpha: np.ndarray = None   # images of the domain center basis under J
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +166,20 @@ def is_associating_linear(A: JordanAlgebra, T,
     return associating_linear_residual(A, T) <= tol.abs_eps
 
 
-def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
-    """Cyclic certificate: max residual of
-    [B(x,y),m,z] + [B(x,z),m,y] + [B(y,z),m,x] over basis (x,y,z,m)."""
+def _associator_slices(A: JordanAlgebra, B: BilinearMap):
+    """Yield, for each basis element b_m, V[i,j,k,l] = [B(b_i,b_j), b_m, b_k]_l."""
     n = A.dim
     assoc = associator_tensor(A)
     Bflat = B.tensor.reshape(n * n, n)
-    worst = 0.0
     for m in range(n):
-        # V[i,j,k,l] = [B(b_i,b_j), b_m, b_k]_l
-        V = (Bflat @ assoc[:, m, :, :].reshape(n, n * n)).reshape(n, n, n, n)
+        yield (Bflat @ assoc[:, m, :, :].reshape(n, n * n)).reshape(n, n, n, n)
+
+
+def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
+    """Cyclic certificate: max residual of
+    [B(x,y),m,z] + [B(x,z),m,y] + [B(y,z),m,x] over basis (x,y,z,m)."""
+    worst = 0.0
+    for V in _associator_slices(A, B):
         cyc = V + V.transpose(0, 2, 1, 3) + V.transpose(2, 0, 1, 3)
         worst = max(worst, float(np.abs(cyc).max()))
     return worst
@@ -202,12 +202,8 @@ def _require_associating(A, B: BilinearMap, tol, what: str):
 
 def bresar_residual(A: JordanAlgebra, B: BilinearMap) -> float:
     """max over basis triples of |2[B(x,y),a,y] + [B(y,y),a,x]|."""
-    n = A.dim
-    assoc = associator_tensor(A)
-    Bflat = B.tensor.reshape(n * n, n)
     worst = 0.0
-    for m in range(n):
-        V = (Bflat @ assoc[:, m, :, :].reshape(n, n * n)).reshape(n, n, n, n)
+    for V in _associator_slices(A, B):
         two = 2.0 * np.einsum("ijjl->ijl", V)
         anchor = np.einsum("jjil->ijl", V)
         worst = max(worst, float(np.abs(two + anchor).max()))
@@ -256,37 +252,6 @@ def decompose_linear(A: JordanAlgebra, T, kit: ElementaryKit,
     return LinMapStandardForm(lam, mu, residual)
 
 
-def _trace_mu_nu(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
-                 lam: np.ndarray, tol: Tolerance):
-    """Shared tail of the trace extraction once lambda is fixed."""
-    w = kit.u
-    n = A.dim
-    # BW[l,j] = l-th coord of B(w, b_j)
-    BW = np.einsum("i,ijl->lj", w, B.tensor, optimize=True)
-    e1 = kit.e_ops[1]
-    e0 = kit.e_ops[0]
-    m_lam = mult_operator(A, lam)
-    head = kit.apply(1, B.apply(w, w))
-    mu = 2.0 * e1 @ BW \
-        - 2.0 * m_lam @ e1 @ mult_operator(A, w) \
-        - mult_operator(A, head) @ e1
-
-    def nu_diag(x):
-        out = kit.apply(0, B.apply(x, x))
-        out = out - product(A, lam, kit.apply(0, product(A, x, x)))
-        return out - product(A, mu @ x, kit.apply(0, x))
-
-    eye = np.eye(n)
-    diag = np.stack([nu_diag(eye[:, i]) for i in range(n)])
-    nu_t = np.empty((n, n, n), dtype=np.complex128)
-    for i in range(n):
-        nu_t[i, i] = diag[i]
-        for j in range(i + 1, n):
-            nu_t[i, j] = 0.5 * (nu_diag(eye[:, i] + eye[:, j]) - diag[i] - diag[j])
-            nu_t[j, i] = nu_t[i, j]
-    return mu, BilinearMap(A, nu_t)
-
-
 def standard_trace_tensor(A: JordanAlgebra, lam, mu, nu_t) -> np.ndarray:
     """Tensor of the standard form
     B(x,y) = lambda o (x o y) + (mu(x) o y + mu(y) o x)/2 + nu(x,y)."""
@@ -296,18 +261,23 @@ def standard_trace_tensor(A: JordanAlgebra, lam, mu, nu_t) -> np.ndarray:
     return t + 0.5 * (half + half.transpose(1, 0, 2)) + nu_t
 
 
-def _extract_trace(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
-                   tol: Tolerance):
-    """Run the extraction formulas without asserting the outcome."""
+def _extract_trace(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit):
+    """lambda and mu by the kit formulas, without asserting the outcome."""
     w = kit.u
+    Bww = B.apply(w, w)
     if kit.has_e2():
-        lam = kit.apply(2, B.apply(w, w))
-    else:
-        if not A.name.startswith("spin:"):
-            raise KitMissing("kit has no E2 and the algebra is not a spin factor")
+        lam = kit.apply(2, Bww)
+    elif A.name.startswith("spin:"):
         lam = np.zeros(A.dim, dtype=np.complex128)
-    mu, nu = _trace_mu_nu(A, B, kit, lam, tol)
-    return lam, mu, nu
+    else:
+        raise KitMissing("kit has no E2 and the algebra is not a spin factor")
+    # BW[l,j] = l-th coord of B(w, b_j)
+    BW = np.einsum("i,ijl->lj", w, B.tensor, optimize=True)
+    e1 = kit.e_ops[1]
+    mu = 2.0 * e1 @ BW \
+        - 2.0 * mult_operator(A, lam) @ e1 @ mult_operator(A, w) \
+        - mult_operator(A, kit.apply(1, Bww)) @ e1
+    return lam, mu
 
 
 def decompose_trace(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
@@ -315,25 +285,30 @@ def decompose_trace(A: JordanAlgebra, B: BilinearMap, kit: ElementaryKit,
                     check: bool = True) -> TraceStandardForm:
     """Full kits: lambda = E2(B(w,w)),
     mu(x) = 2E1(B(w,x)) - 2 lambda o E1(w o x) - E1(B(w,w)) o E1(x),
-    nu by polarizing nu(x,x) = E0(B(x,x)) - lambda o E0(x^2) - mu(x) o E0(x).
+    nu(x,y) = E0(B(x,y)) - lambda o E0(x o y) - (mu(x) o E0(y) + mu(y) o E0(x))/2,
+    the polarization of nu(x,x) = E0(B(x,x)) - lambda o E0(x^2) - mu(x) o E0(x).
     Kits without E2 serve spin factors only; lambda is identically zero
     there, and the lambda terms drop out.
     """
     kit = _kit_for(A, kit)
     if check:
         _require_associating(A, B, tol, "trace")
-    lam, mu, nu = _extract_trace(A, B, kit, tol)
-    recon = float(np.abs(
-        B.tensor - standard_trace_tensor(A, lam, mu, nu.tensor)).max())
+    lam, mu = _extract_trace(A, B, kit)
+    c = A.structure
+    e0 = kit.e_ops[0]
+    half = np.einsum("ai,bj,abl->ijl", mu, e0, c, optimize=True)
+    nu_t = np.einsum("ijm,lm->ijl", B.tensor, e0, optimize=True) \
+        - np.einsum("ijm,lm->ijl", c, mult_operator(A, lam) @ e0, optimize=True) \
+        - 0.5 * (half + half.transpose(1, 0, 2))
+    recon = float(np.abs(B.tensor - standard_trace_tensor(A, lam, mu, nu_t)).max())
     central = _center_column_residual(A, lam.reshape(-1, 1), tol)
     mu_central = _center_column_residual(A, mu, tol)
-    nu_central = _center_column_residual(
-        A, nu.tensor.reshape(A.dim * A.dim, A.dim).T, tol)
+    nu_central = _center_column_residual(A, nu_t.reshape(A.dim * A.dim, A.dim).T, tol)
     residual = max(recon, central, mu_central, nu_central)
     if residual > tol.abs_eps:
         raise ResidualExceeded(
             f"trace standard-form residual {residual:.3e} exceeds {tol.abs_eps:.1e}")
-    return TraceStandardForm(lam, mu, nu, residual)
+    return TraceStandardForm(lam, mu, BilinearMap(A, nu_t), residual)
 
 
 def _inverse_or_raise(phi) -> np.ndarray:
@@ -355,12 +330,49 @@ def induced_trace(A: JordanAlgebra, B_alg: JordanAlgebra, phi) -> BilinearMap:
     return BilinearMap(B_alg, np.einsum("ijm,lm->ijl", prod, phi, optimize=True))
 
 
+def _refine_j(A: JordanAlgebra, B_alg: JordanAlgebra, phi, lam, mu1,
+              tol: Tolerance):
+    """At most three Gauss-Newton steps on J(b_i o b_j) - J(b_i) o J(b_j) over
+    lambda = Z a, mu1 = Z M (Z the center basis).  J = (M_lambda + mu1/2) Phi
+    is linear in x = (a, M), so the Jacobian is exact; its rows are compressed
+    by QR one b_i at a time.  Returns (lambda, J, steps taken, J residual)."""
+    Z = center_matrix(B_alg, tol)
+    cA, cB = A.structure, B_alg.structure
+    G = np.concatenate([  # G[p] = dJ/dx_p
+        np.einsum("id,ijk,jm->dkm", Z, cB, phi, optimize=True),
+        0.5 * np.einsum("kd,lm->dlkm", Z, phi).reshape(-1, B_alg.dim, A.dim)])
+    P = len(G)
+    x = np.concatenate([Z.conj().T @ lam, (Z.conj().T @ mu1).ravel()])
+    J = np.tensordot(x, G, axes=1)
+    res = jordan_homomorphism_residual(A, B_alg, J)
+    for taken in range(3):
+        T = np.einsum("bj,abk->ajk", J, cB, optimize=True)
+        R = np.tensordot(cA, J, axes=([2], [1])) \
+            - np.einsum("ai,ajk->ijk", J, T, optimize=True)
+        Rf = np.zeros((0, P + 1))
+        for i in range(A.dim):
+            # d R[i, j, k] / d x_p, with the residual row appended
+            jac = np.einsum("jm,pkm->pjk", cA[i], G, optimize=True) \
+                - np.einsum("pa,ajk->pjk", G[:, :, i], T, optimize=True) \
+                - np.einsum("paj,ak->pjk", G, T[:, i], optimize=True)
+            block = np.column_stack([jac.reshape(P, -1).T, -R[i].ravel()])
+            Rf = np.linalg.qr(np.vstack([Rf, block]), mode="r")
+        x_new = x + np.linalg.lstsq(Rf[:, :P], Rf[:, P], rcond=None)[0]
+        J_new = np.tensordot(x_new, G, axes=1)
+        res_new = jordan_homomorphism_residual(A, B_alg, J_new)
+        if not res_new < res:
+            return Z @ x[:Z.shape[1]], J, taken, res
+        x, J, res = x_new, J_new, res_new
+    return Z @ x[:Z.shape[1]], J, 3, res
+
+
 def decompose_preserver(A: JordanAlgebra, B_alg: JordanAlgebra, phi,
                         kit: ElementaryKit, tol: Tolerance = DEFAULT_TOL,
                         require_e2: bool = True,
                         check: bool = True) -> PreserverDecomposition:
     """Phi = M_z0 J + beta via the induced trace on the codomain:
-    J = (M_lambda + mu1/2) Phi and z0 = lambda^{-1}.
+    J = (M_lambda + mu1/2) Phi and z0 = lambda^{-1}.  When rounding leaves J
+    off the homomorphisms (an ill-conditioned Phi), _refine_j refines it first.
 
     require_e2=False is the dedicated test mode that walks spin factors
     into the constructive argument; generic bijections then fail with
@@ -372,17 +384,20 @@ def decompose_preserver(A: JordanAlgebra, B_alg: JordanAlgebra, phi,
     phi = as_cmatrix(phi)
     if phi.shape != (B_alg.dim, A.dim):
         raise NotBijective("map shape does not match the algebras")
-    _inverse_or_raise(phi)
     B = induced_trace(A, B_alg, phi)
     if check:
         _require_associating(B_alg, B, tol, "induced trace")
-    lam, mu1, nu1 = _extract_trace(B_alg, B, kit, tol)
+    lam, mu1 = _extract_trace(B_alg, B, kit)
     J = (mult_operator(B_alg, lam) + 0.5 * mu1) @ phi
     hom_res = jordan_homomorphism_residual(A, B_alg, J)
+    steps = 0
+    if hom_res > tol.abs_eps:
+        lam, J, steps, hom_res = _refine_j(A, B_alg, phi, lam, mu1, tol)
     sv = np.linalg.svd(J, compute_uv=False)
     if hom_res > tol.abs_eps or sv[-1] <= 1e-12 * sv[0]:
         raise JNotMultiplicative(
-            f"candidate J residual {hom_res:.3e}, min sv ratio {sv[-1] / sv[0]:.3e}")
+            f"candidate J residual {hom_res:.3e} after {steps} refinement "
+            f"steps, min sv ratio {sv[-1] / sv[0]:.3e}")
     z0 = jordan_inverse(B_alg, lam, tol)
     if z0 is None:
         raise LambdaNotInvertible("extracted lambda has no Jordan inverse")
@@ -391,9 +406,7 @@ def decompose_preserver(A: JordanAlgebra, B_alg: JordanAlgebra, phi,
     if beta_central > tol.abs_eps:
         raise ResidualExceeded(
             f"beta strays from the center by {beta_central:.3e}")
-    alpha = J @ center_matrix(A, tol)
-    return PreserverDecomposition(z0, J, beta, max(hom_res, beta_central),
-                                  mu1=mu1, nu1=nu1, alpha=alpha)
+    return PreserverDecomposition(z0, J, beta, max(hom_res, beta_central))
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,8 @@ class GenConfig:
             raise ValueError("samples must be >= 1")
         if not self.magnitude > 0:
             raise ValueError("magnitude must be positive")
+        if not 0 <= self.adversarial_rate <= 1:
+            raise ValueError("adversarial_rate must lie in [0, 1]")
 
 
 @dataclass
@@ -282,10 +284,7 @@ def make_associating_trace(name: str, seed: int,
     lam0 = complex(lam[0])
     mu_t = mu.copy()
     mu_t[:, 0] += 2.0 * lam0 * A.unit
-    q = np.zeros((n, n), dtype=np.complex128)
-    q[0, 0] = 1.0
-    for i in range(1, n):
-        q[i, i] = -1.0
+    q = np.diag(np.r_[1.0, -np.ones(n - 1)]).astype(np.complex128)
     nu_abs = nu_t - lam0 * np.einsum("ij,l->ijl", q, A.unit)
     return GeneratedTrace(BilinearMap(A, tensor),
                           np.zeros(n, dtype=np.complex128), mu_t, nu_abs)
@@ -659,10 +658,8 @@ def _suite_preserver(cfg: GenConfig, tol: Tolerance, records: list):
                  jordan_homomorphism_residual(A, A, form.J), tol.abs_eps)
             if k % 10 == 0:
                 form2 = decompose_preserver(A, A, gen.op, alt, tol, check=False)
-                uniq = max(float(np.abs(form.z0 - form2.z0).max()),
-                           float(np.abs(form.J - form2.J).max()),
-                           float(np.abs(form.beta - form2.beta).max()))
-                _rec(records, "prsv:uniqueness", name, seed, uniq,
+                _rec(records, "prsv:uniqueness", name, seed,
+                     _preserver_errors(form, form2),
                      10.0 * tol.abs_eps, detail="two independent kits")
 
 

@@ -45,6 +45,15 @@ def test_matrix_unit_products():
     want = np.zeros(9, dtype=complex)
     want[matrix_unit_index(3, 0, 2)] = 0.5
     assert np.array_equal(got, want)
+    # every basis product against (ab + ba)/2, and the star against transposition
+    for n in range(2, 6):
+        A, _ = matrix_jordan(n)
+        units = np.eye(n * n).reshape(n * n, n, n)
+        for a, Ea in enumerate(units):
+            for b, Eb in enumerate(units):
+                want = (0.5 * (Ea @ Eb + Eb @ Ea)).ravel()
+                assert np.array_equal(A.structure[a, b], want), (n, a, b)
+        assert np.array_equal(A.star, np.stack([E.T.ravel() for E in units], axis=1))
 
 
 def test_matrix_frames_verify():

@@ -233,6 +233,34 @@ def test_malformed_kit_exits_5(tmp_path):
     assert r.returncode == 5, r.stderr
 
 
+@pytest.mark.parametrize("target", ["linear", "trace"])
+def test_unverified_kit_exits_5(tmp_path, target):
+    kit = tmp_path / "kit.json"
+    assert run_cli("kit", "build", "--algebra", "matrix:3",
+                   "--out", str(kit)).returncode == 0
+    doc = json.loads(kit.read_text())
+    doc["E1"]["matrix"]["data"][0][0] += 0.5    # E1(1) is no longer 0
+    kit.write_text(json.dumps(doc))
+    A = algebra_by_name("matrix:3").algebra
+    if target == "linear":
+        operand = linop_to_json(A, make_associating_map("matrix:3", 24).op)
+    else:
+        operand = bilinear_to_json(make_associating_trace("matrix:3", 22).bilinear)
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(operand))
+    r = run_cli("decompose", target, "--algebra", "matrix:3",
+                "--input", str(inp), "--kit", str(kit))
+    assert r.returncode == 5, r.stderr
+    assert "fails verification" in r.stderr and "kronecker_max" in r.stderr
+
+
+@pytest.mark.parametrize("rate", ["nan", "-1", "2"])
+def test_bad_adversarial_rate_exits_2(rate):
+    r = run_cli("verify", "negative_controls", "--adversarial-rate", rate)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+
+
 def test_canonical_float_format(tmp_path):
     out = tmp_path / "kit.json"
     run_cli("kit", "build", "--algebra", "spin:4", "--out", str(out))

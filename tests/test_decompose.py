@@ -9,6 +9,7 @@ from jordanlab.decompose import (
     NotAssociating,
     NotBijective,
     ResidualExceeded,
+    _center_column_residual,
     associating_linear_residual,
     bilinear_from_json,
     bilinear_to_json,
@@ -27,7 +28,9 @@ from jordanlab.decompose import (
     trace_is_associating,
 )
 from jordanlab.elementary_ops import build_kit
+from jordanlab.genverify import make_associating_trace
 from jordanlab.jordan_core import (
+    center_matrix,
     mult_operator,
     product,
     u_operator,
@@ -142,6 +145,29 @@ def test_trace_kit_missing_without_e2_on_matrix():
         decompose_trace(entry.algebra, B, kit)
 
 
+@pytest.mark.parametrize("name", ["matrix:3", "matrix:4", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4"])
+def test_nu_matches_polarized_quadratic_form(name):
+    # the paper's formula: nu(x,y) is the polarization of
+    # q(x) = E0(B(x,x)) - lambda o E0(x^2) - mu(x) o E0(x)
+    entry = algebra_by_name(name)
+    A = entry.algebra
+    kit = build_kit(entry)
+    B = make_associating_trace(name, 31).bilinear
+    form = decompose_trace(A, B, kit)
+
+    def q(x):
+        return kit.apply(0, B.apply(x, x)) \
+            - product(A, form.lam, kit.apply(0, product(A, x, x))) \
+            - product(A, form.mu @ x, kit.apply(0, x))
+
+    rng = np.random.default_rng(32)
+    for _ in range(3):
+        x, y = rng.standard_normal((2, A.dim)) + 1j * rng.standard_normal((2, A.dim))
+        want = 0.5 * (q(x + y) - q(x) - q(y))
+        assert np.abs(form.nu.apply(x, y) - want).max() <= 1e-12
+
+
 def test_bilinear_json_roundtrip():
     B = struct_trace(A3)
     back = bilinear_from_json(bilinear_to_json(B), A3)
@@ -168,7 +194,9 @@ def test_scaled_symmetry_preserver():
     assert np.abs(form.z0 - 2.0 * A3.unit).max() < 1e-10
     assert np.abs(form.J - J).max() < 1e-10
     assert np.abs(form.beta).max() < 1e-10
-    assert form.alpha is not None
+    # J maps the center into the center
+    Z = center_matrix(A3)
+    assert _center_column_residual(A3, form.J @ Z, DEFAULT_TOL) <= 1e-9
 
 
 def test_preserver_rejects_singular():
