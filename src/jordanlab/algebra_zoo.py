@@ -61,10 +61,9 @@ class Summand:
     name: str
     offset: int
     dim: int
-    # coordinate projection (Jordan homomorphism onto the summand) and the
-    # block injection back; central_projection = inj(unit_k)
+    # coordinate projection (Jordan homomorphism onto the summand);
+    # central_projection = proj^T(unit_k), the summand's unit in the sum
     proj: np.ndarray
-    inj: np.ndarray
     central_projection: np.ndarray
 
 
@@ -292,10 +291,9 @@ def direct_sum(algebras: list, name: str = None):
         unit[sl] = A.unit
         proj = np.zeros((d, n), dtype=np.complex128)
         proj[:, sl] = np.eye(d)
-        inj = proj.T.copy()
         summands.append(Summand(
-            name=A.name, offset=off, dim=d, proj=proj, inj=inj,
-            central_projection=inj @ A.unit))
+            name=A.name, offset=off, dim=d, proj=proj,
+            central_projection=proj.T @ A.unit))
         off += d
     if name is None:
         name = "sum:" + "+".join(A.name for A in algebras)

@@ -28,7 +28,11 @@ from jordanlab.decompose import (
     trace_is_associating,
 )
 from jordanlab.elementary_ops import build_kit
-from jordanlab.genverify import make_associating_trace
+from jordanlab.genverify import (
+    make_associating_map,
+    make_associating_trace,
+    make_standard_preserver,
+)
 from jordanlab.jordan_core import (
     center_matrix,
     mult_operator,
@@ -124,6 +128,74 @@ def test_trace_rejects_non_associating():
 
 def test_bresar_residual_small_for_valid_trace():
     assert bresar_residual(A3, struct_trace(A3)) < 1e-12
+
+
+def _dense_certificates(A, T, B):
+    """The three certificates swept over the dense n^4 associator tensor,
+    ASSOC[a,m,z,l] = [b_a, b_m, b_z]_l.  The cyclic sum adds its last two
+    terms first and is taken on the symmetric part of B, as in the library."""
+    n = A.dim
+    c = A.structure
+    W = np.einsum("amc,czl->amzl", c, c)
+    assoc = W - W.transpose(2, 1, 0, 3)
+    R = np.tensordot(T, assoc, axes=([0], [0]))   # R[i,m,j,l] = [T(b_i),b_m,b_j]_l
+    linear = np.abs(R + R.transpose(2, 1, 0, 3)).max()
+    cyclic = bresar = 0.0
+    sym = 0.5 * (B.tensor + B.tensor.transpose(1, 0, 2))
+    for m in range(n):
+        a_m = assoc[:, m].reshape(n, n * n)
+        V = (sym.reshape(n * n, n) @ a_m).reshape((n,) * 4)   # [B(x,y),m,z]_l
+        cyc = V + (V.transpose(0, 2, 1, 3) + V.transpose(2, 0, 1, 3))
+        cyclic = max(cyclic, np.abs(cyc).max())
+        V = (B.tensor.reshape(n * n, n) @ a_m).reshape((n,) * 4)
+        two = 2.0 * np.einsum("ijjl->ijl", V)
+        bresar = max(bresar, np.abs(two + np.einsum("jjil->ijl", V)).max())
+    return linear, cyclic, bresar
+
+
+@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4"])
+def test_certificates_match_dense_sweep(name):
+    A = algebra_by_name(name).algebra
+    n = A.dim
+    rng = np.random.default_rng(41)
+    gen = make_associating_trace(name, 42).bilinear
+    noise = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
+    phi = make_standard_preserver(name, 43).op
+    traces = [gen, BilinearMap(A, gen.tensor + 1e-4 * (noise + noise.transpose(1, 0, 2))),
+              induced_trace(A, A, phi)]
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    maps = [make_associating_map(name, 44).op, mult_operator(A, c)]
+    for T, B in zip(maps + maps[:1], traces):
+        got = (associating_linear_residual(A, T), trace_associating_residual(A, B),
+               bresar_residual(A, B))
+        want = _dense_certificates(A, T, B)
+        for g, w in zip(got, want):
+            assert (g <= DEFAULT_TOL.abs_eps) == (w <= DEFAULT_TOL.abs_eps)
+            assert abs(g - w) <= 1e-14 * w
+
+
+def test_certificate_holds_no_dense_tensor_and_reads_the_symmetric_part():
+    A = algebra_by_name("sum:matrix:3+matrix:4").algebra
+    n = A.dim
+    B = make_associating_trace("sum:matrix:3+matrix:4", 45).bilinear
+    assert trace_is_associating(A, B)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for item in obj:
+                yield from arrays(item)
+        elif isinstance(obj, dict):
+            for item in obj.values():
+                yield from arrays(item)
+
+    assert max(a.size for a in arrays(A._caches)) < n ** 4
+    t = B.tensor + 1e-6 * np.random.default_rng(46).standard_normal((n, n, n))
+    sym = BilinearMap(A, 0.5 * (t + t.transpose(1, 0, 2)))
+    assert trace_associating_residual(A, BilinearMap(A, t)) \
+        == trace_associating_residual(A, sym)
 
 
 def test_spin_trace_lambda_is_zero():
