@@ -246,12 +246,15 @@ def _checked(cast, ok, what):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    env_seed = int(os.environ.get("JORDANLAB_SEED", "0"))
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", default=1e-9,
-                        type=_checked(float, lambda v: v > 0, "positive"),
+                        type=_checked(float, lambda v: 0 < v < np.inf,
+                                      "positive and finite"),
                         help="absolute tolerance (default 1e-9)")
-    common.add_argument("--seed", type=int, default=env_seed,
+    # a string default passes through type=int only when --seed is absent,
+    # so a malformed JORDANLAB_SEED is an argparse error naming --seed
+    common.add_argument("--seed", type=int,
+                        default=os.environ.get("JORDANLAB_SEED", "0"),
                         help="master seed (default JORDANLAB_SEED or 0)")
     common.add_argument("--out", default=None,
                         help="output file (default stdout)")

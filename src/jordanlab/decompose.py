@@ -23,14 +23,16 @@ from .jordan_core import (
     element_power,
     jordan_homomorphism_residual,
     jordan_inverse,
-    linop_to_json,
     mult_operator,
+    star_apply,
     star_map_residual,
 )
 from .numerics import (
     DEFAULT_TOL,
     Tolerance,
     as_cmatrix,
+    kernel_basis,
+    matrix_to_json,
     tensor_from_json,
     tensor_to_json,
     vector_to_json,
@@ -340,8 +342,8 @@ def standard_trace_tensor(A: JordanAlgebra, lam, mu, nu_t) -> np.ndarray:
     """Tensor of the standard form
     B(x,y) = lambda o (x o y) + (mu(x) o y + mu(y) o x)/2 + nu(x,y)."""
     c = A.structure
-    t = np.einsum("ijm,lm->ijl", c, mult_operator(A, lam), optimize=True)
-    half = np.einsum("mi,mjl->ijl", mu, c, optimize=True)
+    t = c @ mult_operator(A, lam).T
+    half = np.tensordot(mu, c, (0, 0))
     return t + 0.5 * (half + half.transpose(1, 0, 2)) + nu_t
 
 
@@ -508,7 +510,6 @@ def symmetric_preserver_check(A: JordanAlgebra, B_alg: JordanAlgebra,
                               tol: Tolerance = DEFAULT_TOL) -> dict:
     """For sharp-symmetric Phi: z0 self-adjoint, J a star map, beta
     sharp-symmetric."""
-    from .jordan_core import star_apply
     z0_res = float(np.abs(star_apply(B_alg, decomp.z0) - decomp.z0).max())
     j_res = star_map_residual(A, B_alg, decomp.J)
     beta_res = float(np.abs(sharp(decomp.beta, A, B_alg) - decomp.beta).max())
@@ -593,7 +594,6 @@ def opcomm_preservation_sampled(A: JordanAlgebra, B_alg: JordanAlgebra, phi,
 def central_annihilator_check(A: JordanAlgebra,
                               tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff no nonzero central c keeps c o x central for every x."""
-    from .numerics import kernel_basis
     Z = center_matrix(A, tol)
     P = center_projector(A, tol)
     n = A.dim
@@ -667,7 +667,7 @@ def bilinear_from_json(obj: dict, A: JordanAlgebra) -> BilinearMap:
 def linmap_form_to_json(A: JordanAlgebra, form: LinMapStandardForm) -> dict:
     return {
         "lambda": vector_to_json(form.lam),
-        "mu": linop_to_json(A, form.mu)["matrix"],
+        "mu": matrix_to_json(form.mu),
         "residual": form.residual,
     }
 
@@ -675,7 +675,7 @@ def linmap_form_to_json(A: JordanAlgebra, form: LinMapStandardForm) -> dict:
 def trace_form_to_json(A: JordanAlgebra, form: TraceStandardForm) -> dict:
     return {
         "lambda": vector_to_json(form.lam),
-        "mu": linop_to_json(A, form.mu)["matrix"],
+        "mu": matrix_to_json(form.mu),
         "nu": bilinear_to_json(form.nu)["tensor"],
         "residual": form.residual,
     }
@@ -685,7 +685,7 @@ def preserver_to_json(A: JordanAlgebra, B_alg: JordanAlgebra,
                       dec: PreserverDecomposition) -> dict:
     return {
         "z0": vector_to_json(dec.z0),
-        "J": linop_to_json(B_alg, dec.J)["matrix"],
-        "beta": linop_to_json(B_alg, dec.beta)["matrix"],
+        "J": matrix_to_json(dec.J),
+        "beta": matrix_to_json(dec.beta),
         "residual": dec.residual,
     }

@@ -29,6 +29,8 @@ from .jordan_core import (
     element_power,
     element_to_json,
     element_from_json,
+    is_projection,
+    is_symmetry,
     linop_to_json,
     linop_from_json,
     mult_operator,
@@ -78,11 +80,6 @@ def _log_element(log, role, vec):
 def _require(cond, message):
     if not cond:
         raise FrameInvalid(message)
-
-
-def _check_exchange(A, s, p_from, p_to, tol, what):
-    _require(np.abs(u_operator(A, s) @ p_from - p_to).max() <= tol.abs_eps,
-             f"{what}: declared exchange fails")
 
 
 def frame_with_roles(frame: Frame, order) -> Frame:
@@ -162,27 +159,13 @@ def build_kit_case2(A: JordanAlgebra, frame: Frame, qpart: Case2QPart = None,
     s = _find_symmetry(frame, 0, 1)
     sp = _find_symmetry(frame, 0, 2)
     q = qpart or Case2QPart()
-    q1 = q.q1 if q.q1 is not None else np.zeros(A.dim, dtype=np.complex128)
-    q2 = q.q2 if q.q2 is not None else np.zeros(A.dim, dtype=np.complex128)
-
-    # the three groups plus leftovers must resolve the unit
-    total = p1 + p2 + p3 + q1 + q2
-    _require(np.abs(total - A.unit).max() <= tol.abs_eps,
-             "projections plus q-part do not sum to the unit")
-    probe = Frame([p1, p2, p3],
+    zero = np.zeros(A.dim, dtype=np.complex128)
+    q1 = zero if q.q1 is None else q.q1
+    q2 = zero if q.q2 is None else q.q2
+    # groups and q-part: orthogonal projections resolving the unit
+    probe = Frame([p1, p2, p3, q1, q2],
                   [FrameSymmetry(s, 0, 1), FrameSymmetry(sp, 0, 2)])
-    # orthogonality/sum checks run on the p-group only; q-part checked below
-    for i, p in enumerate(probe.projections):
-        for pq in probe.projections[i + 1:]:
-            _require(np.abs(product(A, p, pq)).max() <= tol.abs_eps,
-                     "projection groups not orthogonal")
-    from .jordan_core import is_projection, is_symmetry
-    for vec, what in ((p1, "p1"), (p2, "p2"), (p3, "p3")):
-        _require(is_projection(A, vec, tol), f"{what} is not a projection")
-    for vec, what in ((s, "s"), (sp, "s'")):
-        _require(is_symmetry(A, vec, tol), f"{what} is not a symmetry")
-    _check_exchange(A, s, p1, p2, tol, "s")
-    _check_exchange(A, sp, p1, p3, tol, "s'")
+    _require(verify_frame(A, probe, tol), "case 2 frame verification failed")
 
     u = 2.0 * product(A, s, p1)
     v = 2.0 * product(A, sp, p1)
@@ -206,14 +189,13 @@ def build_kit_case2(A: JordanAlgebra, frame: Frame, qpart: Case2QPart = None,
             continue
         _require(ri is not None and ti is not None,
                  f"q{tag} needs matching r{tag} and symmetry")
-        _require(is_projection(A, qi, tol) and is_projection(A, ri, tol),
-                 f"q{tag}/r{tag} must be projections")
+        _require(is_projection(A, ri, tol), f"r{tag} must be a projection")
         _require(is_symmetry(A, ti, tol), f"t{tag} must be a symmetry")
-        # r sits under p2
         _require(np.abs(product(A, p2, ri) - ri).max() <= tol.abs_eps,
                  f"r{tag} must lie under p2")
-        _check_exchange(A, ti, ri, qi, tol, f"t{tag}")
         Ut = u_operator(A, ti)
+        _require(np.abs(Ut @ ri - qi).max() <= tol.abs_eps,
+                 f"t{tag}: declared exchange fails")
         Uq = u_operator(A, qi)
         Ur = u_operator(A, ri)
         E2 = E2 + Ut @ (Ur - Ut @ Uq)
@@ -225,45 +207,37 @@ def build_kit_case2(A: JordanAlgebra, frame: Frame, qpart: Case2QPart = None,
     return ElementaryKit(A, u, {0: E0, 1: E1, 2: E2}, log, v=v)
 
 
-def _diag_position(p: np.ndarray, n: int) -> int:
-    """Which e_dd a diagonal matrix unit is; FrameInvalid if it is not one."""
-    hits = [d for d in range(n) if abs(p[d * n + d] - 1.0) <= 1e-12]
-    if len(hits) != 1 or np.abs(p).sum() > 1.0 + 1e-12:
-        raise FrameInvalid("frame projection is not a diagonal matrix unit")
-    return hits[0]
-
-
-def matrix_case2_inputs(A: JordanAlgebra, units, n: int):
-    """Group n diagonal matrix units (any role order) for the case-2 builder.
+def matrix_case2_inputs(frame: Frame, order):
+    """Group the diagonal matrix units of a matrix:n frame, taken in the
+    role order `order`, for the case-2 builder.
 
     Euclidean split n = 3j + k with k in {0,1,2}: p1, p2, p3 collect units
     number 1+3t, 2+3t, 3+3t in the given order (t < j, 1-based); the k
     leftovers become the q-part, reached from r = unit number 2 by
     transposition symmetries.
     """
+    n = len(order)
     j, k = divmod(n, 3)
     if j < 1:
         raise FrameInvalid("matrix case 2 needs n >= 3")
-    if len(units) != n:
-        raise FrameInvalid(f"expected {n} diagonal units, got {len(units)}")
-    d = [_diag_position(p, n) for p in units]
+    units = [frame.projections[i] for i in order]
 
     def group(start):
         return sum(units[start - 1 + 3 * t] for t in range(j))
 
     p1, p2, p3 = group(1), group(2), group(3)
-    s = permutation_symmetry(n, {d[3 * t]: d[3 * t + 1] for t in range(j)})
-    sp = permutation_symmetry(n, {d[3 * t]: d[3 * t + 2] for t in range(j)})
+    s = permutation_symmetry(n, {order[3 * t]: order[3 * t + 1] for t in range(j)})
+    sp = permutation_symmetry(n, {order[3 * t]: order[3 * t + 2] for t in range(j)})
     grouped = Frame([p1, p2, p3], [FrameSymmetry(s, 0, 1), FrameSymmetry(sp, 0, 2)])
     qpart = Case2QPart()
     if k >= 1:
         qpart.q1 = units[3 * j]
         qpart.r1 = units[1]
-        qpart.t = permutation_symmetry(n, {d[1]: d[3 * j]})
+        qpart.t = permutation_symmetry(n, {order[1]: order[3 * j]})
     if k == 2:
         qpart.q2 = units[3 * j + 1]
         qpart.r2 = units[1]
-        qpart.t_prime = permutation_symmetry(n, {d[1]: d[3 * j + 1]})
+        qpart.t_prime = permutation_symmetry(n, {order[1]: order[3 * j + 1]})
     return grouped, qpart
 
 
@@ -278,8 +252,6 @@ def build_kit_spin(V: JordanAlgebra, frame: Frame = None,
     _require(len(frame.projections) == 2, "spin kit needs 2 projections")
     _require(verify_frame(V, frame, tol), "spin frame verification failed")
     p1, p2 = frame.projections
-    _require(np.abs(p1 + p2 - V.unit).max() <= tol.abs_eps,
-             "spin projections must sum to the unit")
     s = _find_symmetry(frame, 0, 1)
     # the construction needs 2 p1 o s = 2 p2 o s = s
     for p, what in ((p1, "p1"), (p2, "p2")):
@@ -365,8 +337,7 @@ def build_kit(entry: ZooEntry, tol: Tolerance = DEFAULT_TOL,
             return build_kit_spin(A, frame_with_roles(entry.frame, order[:2]), tol)
         if n == 4:
             return build_kit_case1(A, frame_with_roles(entry.frame, order), tol)
-        units = [entry.frame.projections[i] for i in order]
-        grouped, qpart = matrix_case2_inputs(A, units, n)
+        grouped, qpart = matrix_case2_inputs(entry.frame, order)
         return build_kit_case2(A, grouped, qpart, tol)
     if kind == "albert":
         frame = entry.frame

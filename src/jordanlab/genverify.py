@@ -404,6 +404,18 @@ def _rec(records, check, algebra, seed, residual, tol, detail="",
     })
 
 
+def _rejects(records, what, name, seed, errors, call, *args, **kwargs):
+    """Negative-control record: passes when the call raises one of errors."""
+    try:
+        call(*args, **kwargs)
+    except errors as ex:
+        _rec(records, what, name, seed, 0.0, 0.5, detail=type(ex).__name__,
+             expected_failure=True)
+        return
+    _rec(records, what, name, seed, 1.0, 0.5,
+         detail="decomposition unexpectedly succeeded", expected_failure=True)
+
+
 def _suite_axioms(cfg: GenConfig, tol: Tolerance, records: list):
     for name in KIT_ALGEBRAS:
         A = _entry(name).algebra
@@ -599,13 +611,8 @@ def _suite_decompose_linear(cfg: GenConfig, tol: Tolerance, records: list):
             seed = derive_seed(base, k)
             if adv_rng.random() < cfg.adversarial_rate:
                 T = make_adversarial("non_associating", name, seed, cfg.magnitude)
-                try:
-                    decompose_linear(A, T, kit, tol)
-                    _rec(records, "lin:adversarial", name, seed, 1.0, 0.5,
-                         expected_failure=True)
-                except NotAssociating:
-                    _rec(records, "lin:adversarial", name, seed, 0.0, 0.5,
-                         detail="NotAssociating", expected_failure=True)
+                _rejects(records, "lin:adversarial", name, seed, NotAssociating,
+                         decompose_linear, A, T, kit, tol)
                 continue
             gen = make_associating_map(name, seed, cfg.magnitude)
             form = decompose_linear(A, gen.op, kit, tol, check=False)
@@ -688,14 +695,9 @@ def _suite_negative(cfg: GenConfig, tol: Tolerance, records: list):
     entry = _entry("spin:4")
     kit_spin = build_kit(entry, tol)
     phi = make_adversarial("spin_generic_bijection", "spin:4", derive_seed(base, 1))
-    try:
-        decompose_preserver(entry.algebra, entry.algebra, phi, kit_spin, tol,
-                            require_e2=False, check=False)
-        _rec(records, "neg:spin_bijection", "spin:4", base, 1.0, 0.5,
-             detail="decomposition unexpectedly succeeded", expected_failure=True)
-    except JNotMultiplicative:
-        _rec(records, "neg:spin_bijection", "spin:4", base, 0.0, 0.5,
-             detail="JNotMultiplicative", expected_failure=True)
+    _rejects(records, "neg:spin_bijection", "spin:4", base, JNotMultiplicative,
+             decompose_preserver, entry.algebra, entry.algebra, phi, kit_spin,
+             tol, require_e2=False, check=False)
 
     got = central_annihilator_check(_entry("sum:one+matrix:2").algebra, tol)
     _rec(records, "neg:one_dim_summand", "sum:one+matrix:2", base,
@@ -708,25 +710,15 @@ def _suite_negative(cfg: GenConfig, tol: Tolerance, records: list):
         A = entry.algebra
         for kind in ["non_associating", "non_central_mu"]:
             T = make_adversarial(kind, name, derive_seed(base, kind))
-            try:
-                decompose_linear(A, T, kit, tol)
-                _rec(records, f"neg:{kind}", name, base, 1.0, 0.5,
-                     expected_failure=True)
-            except NotAssociating:
-                _rec(records, f"neg:{kind}", name, base, 0.0, 0.5,
-                     detail="NotAssociating", expected_failure=True)
+            _rejects(records, f"neg:{kind}", name, base, NotAssociating,
+                     decompose_linear, A, T, kit, tol)
 
     entry = _entry("matrix:3")
     kit3 = build_kit(entry, tol)
     phi = make_adversarial("broken_J", "matrix:3", derive_seed(base, 2))
-    try:
-        decompose_preserver(entry.algebra, entry.algebra, phi, kit3, tol,
-                            check=False)
-        _rec(records, "neg:broken_J", "matrix:3", base, 1.0, 0.5,
-             expected_failure=True)
-    except (JNotMultiplicative, ResidualExceeded) as ex:
-        _rec(records, "neg:broken_J", "matrix:3", base, 0.0, 0.5,
-             detail=type(ex).__name__, expected_failure=True)
+    _rejects(records, "neg:broken_J", "matrix:3", base,
+             (JNotMultiplicative, ResidualExceeded), decompose_preserver,
+             entry.algebra, entry.algebra, phi, kit3, tol, check=False)
 
 
 def _suite_mixed_products(cfg: GenConfig, tol: Tolerance, records: list):

@@ -76,13 +76,6 @@ class JordanAlgebra:
         if self.unit.shape != (n,) or self.star.shape != (n, n):
             raise ValueError("unit/star shape mismatch")
 
-    # multiplication matrices of all basis vectors, stacked: mb[i] = M_{b_i}
-    def basis_mult(self) -> np.ndarray:
-        if "basis_mult" not in self._caches:
-            self._caches["basis_mult"] = np.ascontiguousarray(
-                self.structure.transpose(0, 2, 1))
-        return self._caches["basis_mult"]
-
 
 def _check_dim(A: JordanAlgebra, *vecs):
     for v in vecs:
@@ -91,10 +84,9 @@ def _check_dim(A: JordanAlgebra, *vecs):
 
 
 def product(A: JordanAlgebra, x, y) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
     y = np.asarray(y, dtype=np.complex128)
-    _check_dim(A, x, y)
-    return np.einsum("i,j,ijk->k", x, y, A.structure, optimize=True)
+    _check_dim(A, y)
+    return mult_operator(A, x) @ y
 
 
 def associator(A: JordanAlgebra, x, a, y) -> np.ndarray:
@@ -105,8 +97,9 @@ def associator(A: JordanAlgebra, x, a, y) -> np.ndarray:
 def mult_operator(A: JordanAlgebra, a) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     _check_dim(A, a)
-    # column j holds a o b_j
-    return np.einsum("i,ijk->kj", a, A.structure, optimize=True)
+    n = A.dim
+    # row j of a @ c, with c viewed as (n, n^2), holds a o b_j
+    return (a @ A.structure.reshape(n, n * n)).reshape(n, n).T
 
 
 def u_operator(A: JordanAlgebra, a, c=None) -> np.ndarray:
@@ -135,21 +128,20 @@ def star_apply(A: JordanAlgebra, x) -> np.ndarray:
     return A.star @ np.conj(x)
 
 
-def commutant(A: JordanAlgebra, x, tol: Tolerance = DEFAULT_TOL) -> list:
-    """Basis of {y : [x, b_i, y] = 0 for every basis element b_i}.
-
-    [x, b_i, y] = (M_{x o b_i} - M_x M_{b_i}) y, so stack those blocks and
-    take the numerical kernel.
-    """
-    x = np.asarray(x, dtype=np.complex128)
-    _check_dim(A, x)
+def _associator_blocks(A: JordanAlgebra, Mx: np.ndarray) -> np.ndarray:
+    """The blocks M_{x o b_a} - M_x M_{b_a} of y -> [x, b_a, y], stacked
+    over a into an (n^2, n) system; Mx = M_x."""
     n = A.dim
-    mb = A.basis_mult()                      # (n, n, n): mb[i] = M_{b_i}
-    xb = np.einsum("a,aim->im", x, A.structure, optimize=True)  # x o b_i
-    m_xb = np.einsum("im,mjk->ikj", xb, A.structure, optimize=True)
-    Mx = mult_operator(A, x)
-    blocks = m_xb - np.einsum("kl,ilj->ikj", Mx, mb, optimize=True)
-    return kernel_basis(blocks.reshape(n * n, n), tol)
+    c = A.structure
+    # column a of M_x is x o b_a, and M_y [k, j] = (y @ c)[j, k]
+    blocks = (Mx.T @ c.reshape(n, n * n)).reshape(n, n, n) - c @ Mx.T
+    return blocks.transpose(0, 2, 1).reshape(n * n, n)
+
+
+def commutant(A: JordanAlgebra, x, tol: Tolerance = DEFAULT_TOL) -> list:
+    """Basis of {y : [x, b_i, y] = 0 for every basis element b_i}: the
+    kernel of the stacked associator blocks."""
+    return kernel_basis(_associator_blocks(A, mult_operator(A, x)), tol)
 
 
 def center_basis(A: JordanAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
@@ -166,10 +158,7 @@ def center_basis(A: JordanAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
         c = A.structure
         R = None
         for i in range(n):
-            # [b_i, b_a, z] = (M_{b_i o b_a} - M_{b_i} M_{b_a}) z
-            m_prod = np.einsum("am,mjk->akj", c[i], c, optimize=True)
-            m_comp = np.einsum("mk,ajm->akj", c[i], c, optimize=True)
-            K = (m_prod - m_comp).reshape(n * n, n)
+            K = _associator_blocks(A, c[i].T)     # M_{b_i} = c[i]^T
             stacked = K if R is None else np.vstack([R, K])
             R = np.linalg.qr(stacked, mode="r")
         A._caches[key] = kernel_basis(R, tol)
@@ -259,8 +248,7 @@ def check_axioms(A: JordanAlgebra, samples: int = 50, seed: int = 0,
     c = A.structure
     res = {}
     res["commutativity"] = float(np.abs(c - c.transpose(1, 0, 2)).max())
-    unit_action = np.einsum("i,ijk->jk", A.unit, c, optimize=True)
-    res["unit"] = float(np.abs(unit_action - np.eye(n)).max())
+    res["unit"] = float(np.abs(mult_operator(A, A.unit) - np.eye(n)).max())
     r_jordan = 0.0
     r_star_mult = 0.0
     for _ in range(samples):

@@ -39,8 +39,8 @@ class Tolerance:
     abs_eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.abs_eps > 0:
-            raise ValueError("abs_eps must be positive")
+        if not 0 < self.abs_eps < np.inf:
+            raise ValueError("abs_eps must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -2,8 +2,10 @@
 environment seeding."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from jordanlab.jordan_core import linop_to_json
 from jordanlab.decompose import BilinearMap, bilinear_to_json
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args, env=None):
+    # the child imports the package from this checkout, installed or not
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     cmd = [sys.executable, "-m", "jordanlab.cli", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
@@ -78,13 +86,24 @@ def test_verify_byte_identical_and_md(tmp_path):
 
 
 def test_verify_env_seed(tmp_path, monkeypatch):
-    import os
     env = dict(os.environ, JORDANLAB_SEED="17")
     r = run_cli("verify", "central_annihilator", "--trials", "2", env=env)
     doc = json.loads(r.stdout)
     assert doc["reports"][0]["config"]["master_seed"] == 17
     r2 = run_cli("verify", "central_annihilator", "--trials", "2",
                  "--seed", "4", env=env)
+    assert json.loads(r2.stdout)["reports"][0]["config"]["master_seed"] == 4
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5"])
+def test_malformed_env_seed(value):
+    env = dict(os.environ, JORDANLAB_SEED=value)
+    r = run_cli("verify", "central_annihilator", "--trials", "2", env=env)
+    assert r.returncode == 2
+    assert "--seed" in r.stderr and "Traceback" not in r.stderr
+    r2 = run_cli("verify", "central_annihilator", "--trials", "2",
+                 "--seed", "4", env=env)
+    assert r2.returncode == 0, r2.stderr
     assert json.loads(r2.stdout)["reports"][0]["config"]["master_seed"] == 4
 
 
@@ -196,6 +215,8 @@ def test_asymmetric_trace_exits_6(tmp_path):
 @pytest.mark.parametrize("args", [
     ("verify", "central_annihilator", "--trials", "0"),
     ("verify", "central_annihilator", "--tol", "-1"),
+    ("verify", "central_annihilator", "--tol", "inf"),
+    ("verify", "central_annihilator", "--tol", "nan"),
 ])
 def test_bad_flag_value_exits_2(args):
     r = run_cli(*args)

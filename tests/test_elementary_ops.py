@@ -6,15 +6,21 @@ import numpy as np
 import pytest
 
 from jordanlab.algebra_zoo import (
+    Frame,
+    FrameSymmetry,
     algebra_by_name,
     matrix_jordan,
     matrix_unit_index,
+    permutation_symmetry,
     spin_factor,
+    spin_frame,
 )
 from jordanlab.elementary_ops import (
     FrameInvalid,
     build_kit,
+    build_kit_case2,
     build_kit_spin,
+    matrix_case2_inputs,
     kit_from_json,
     kit_to_json,
     verify_kit,
@@ -184,3 +190,32 @@ def test_construction_log_roles():
     roles = [d["role"] for d in kit.construction_log if "role" in d]
     for want in ("p1", "p2", "p3", "p4", "s", "s'", "s''", "u", "v"):
         assert want in roles
+
+
+def test_case2_rejects_symmetry_that_misses_p2():
+    A, frame = matrix_jordan(3)
+    grouped, qpart = matrix_case2_inputs(frame, [0, 1, 2])
+    # a symmetry, but it exchanges e00 with e22 instead of e11
+    grouped.symmetries[0] = FrameSymmetry(permutation_symmetry(3, {0: 2}), 0, 1)
+    with pytest.raises(FrameInvalid):
+        build_kit_case2(A, grouped, qpart)
+
+
+def test_case2_rejects_qpart_off_the_unit():
+    A, frame = matrix_jordan(5)
+    grouped, qpart = matrix_case2_inputs(frame, range(5))
+    assert build_kit_case2(A, grouped, qpart) is not None
+    qpart.q2 = qpart.r2 = qpart.t_prime = None      # e44 left uncovered
+    with pytest.raises(FrameInvalid):
+        build_kit_case2(A, grouped, qpart)
+
+
+def test_spin_kit_rejects_s_with_2p_o_s_not_s():
+    V = spin_factor(4)
+    p1, p2 = spin_frame(V).projections
+    f1 = np.zeros(4, dtype=complex)
+    f1[1] = 1.0
+    # f1 is a symmetry, but 2 p1 o f1 = 2 p1 != f1: U_f1 fixes p1
+    assert np.abs(2.0 * product(V, p1, f1) - f1).max() > 0.5
+    with pytest.raises(FrameInvalid):
+        build_kit_spin(V, Frame([p1, p2], [FrameSymmetry(f1, 0, 1)]))

@@ -32,6 +32,7 @@ from jordanlab.jordan_core import (
     star_map_residual,
     u_operator,
 )
+from jordanlab.numerics import DEFAULT_TOL, kernel_basis
 
 A2, _ = matrix_jordan(2)
 A3, frame3 = matrix_jordan(3)
@@ -218,3 +219,55 @@ def test_algebra_json_rejects_out_of_range_index(index):
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         product(A3, np.zeros(4), np.zeros(9))
+
+
+# The einsum formulas the flat (n, n^2) contractions replaced, kept as the
+# reference: the rewrite must reproduce them bit for bit.
+def ref_product(A, x, y):
+    return np.einsum("i,j,ijk->k", x, y, A.structure, optimize=True)
+
+
+def ref_mult_operator(A, a):
+    return np.einsum("i,ijk->kj", a, A.structure, optimize=True)
+
+
+def ref_commutant(A, x):
+    n, c = A.dim, A.structure
+    mb = np.ascontiguousarray(c.transpose(0, 2, 1))
+    xb = np.einsum("a,aim->im", x, c, optimize=True)
+    m_xb = np.einsum("im,mjk->ikj", xb, c, optimize=True)
+    Mx = ref_mult_operator(A, x)
+    blocks = m_xb - np.einsum("kl,ilj->ikj", Mx, mb, optimize=True)
+    return kernel_basis(blocks.reshape(n * n, n), DEFAULT_TOL)
+
+
+def ref_center_basis(A):
+    n, c = A.dim, A.structure
+    R = None
+    for i in range(n):
+        m_prod = np.einsum("am,mjk->akj", c[i], c, optimize=True)
+        m_comp = np.einsum("mk,ajm->akj", c[i], c, optimize=True)
+        K = (m_prod - m_comp).reshape(n * n, n)
+        R = np.linalg.qr(K if R is None else np.vstack([R, K]), mode="r")
+    return kernel_basis(R, DEFAULT_TOL)
+
+
+def same_basis(got, want):
+    return len(got) == len(want) and all(
+        np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4"])
+def test_flat_contractions_match_einsum_bitwise(name):
+    A = algebra_by_name(name).algebra
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x, y = (rng.standard_normal(A.dim) + 1j * rng.standard_normal(A.dim)
+                for _ in range(2))
+        assert np.array_equal(product(A, x, y), ref_product(A, x, y))
+        assert np.array_equal(mult_operator(A, x), ref_mult_operator(A, x))
+    b1 = np.eye(A.dim)[1]
+    for z in (x, b1):
+        assert same_basis(commutant(A, z), ref_commutant(A, z))
+    assert same_basis(center_basis(A), ref_center_basis(A))

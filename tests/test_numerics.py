@@ -24,6 +24,8 @@ def test_tolerance_validation():
         Tolerance(abs_eps=0.0)
     with pytest.raises(ValueError):
         Tolerance(abs_eps=-1e-9)
+    with pytest.raises(ValueError):
+        Tolerance(abs_eps=float("inf"))
     assert DEFAULT_TOL.abs_eps == 1e-9
 
 
