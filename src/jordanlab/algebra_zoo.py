@@ -61,10 +61,7 @@ class Summand:
     name: str
     offset: int
     dim: int
-    # coordinate projection (Jordan homomorphism onto the summand);
-    # central_projection = proj^T(unit_k), the summand's unit in the sum
-    proj: np.ndarray
-    central_projection: np.ndarray
+    central_projection: np.ndarray   # the summand's unit in the sum
 
 
 def verify_frame(A: JordanAlgebra, frame: Frame, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -289,11 +286,9 @@ def direct_sum(algebras: list, name: str = None):
         c[sl, sl, sl] = A.structure
         S[sl, sl] = A.star
         unit[sl] = A.unit
-        proj = np.zeros((d, n), dtype=np.complex128)
-        proj[:, sl] = np.eye(d)
-        summands.append(Summand(
-            name=A.name, offset=off, dim=d, proj=proj,
-            central_projection=proj.T @ A.unit))
+        central = np.zeros(n, dtype=np.complex128)
+        central[sl] = A.unit
+        summands.append(Summand(A.name, off, d, central))
         off += d
     if name is None:
         name = "sum:" + "+".join(A.name for A in algebras)

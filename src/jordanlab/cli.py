@@ -212,13 +212,13 @@ def cmd_decompose(args) -> int:
         kit = _kit_for_args(args, entry, tol)
         if args.target == "linear":
             form = decompose_linear(A, operand, kit, tol)
-            doc = linmap_form_to_json(A, form)
+            doc = linmap_form_to_json(form)
         elif args.target == "trace":
             form = decompose_trace(A, operand, kit, tol)
-            doc = trace_form_to_json(A, form)
+            doc = trace_form_to_json(form)
         else:
             form = decompose_preserver(A, A, operand, kit, tol)
-            doc = preserver_to_json(A, A, form)
+            doc = preserver_to_json(form)
     except FrameInvalid as ex:
         print(f"frame invalid: {ex}", file=sys.stderr)
         return EXIT_FRAME
@@ -302,21 +302,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_COMMANDS = {"zoo": cmd_zoo, "kit": cmd_kit, "verify": cmd_verify,
+             "decompose": cmd_decompose}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.cmd == "zoo":
-            return cmd_zoo(args)
-        if args.cmd == "kit":
-            return cmd_kit(args)
-        if args.cmd == "verify":
-            return cmd_verify(args)
-        if args.cmd == "decompose":
-            return cmd_decompose(args)
+        return _COMMANDS[args.cmd](args)
     except _IoError as ex:
         print(f"i/o error: {ex}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

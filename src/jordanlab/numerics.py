@@ -94,9 +94,6 @@ def kernel_basis(A, tol: Tolerance = DEFAULT_TOL) -> list:
     A = np.asarray(A, dtype=np.complex128)
     if A.ndim != 2:
         raise ValueError("kernel_basis expects a matrix")
-    if A.shape[0] == 0:
-        # no constraints: the whole space is the kernel
-        return [np.eye(A.shape[1], dtype=np.complex128)[i] for i in range(A.shape[1])]
     # economy SVD for tall stacks keeps memory linear in the column count;
     # the right factor still carries all of C^cols either way
     _, s, vh = np.linalg.svd(A, full_matrices=A.shape[0] < A.shape[1])

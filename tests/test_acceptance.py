@@ -160,3 +160,12 @@ def test_criterion_11_mixed_products():
                      "mixed:linear_cross_block"}
     for r in rep.records:
         assert r["tol"] == 1e-9
+
+
+def test_criterion_12_axioms():
+    rep = _run("axioms")
+    assert rep.all_pass(), _failing(rep)
+    assert len(rep.records) == 42  # 7 algebras x 6 axioms
+    assert {r["algebra"] for r in rep.records} == KIT_ALGEBRAS
+    for r in rep.records:
+        assert r["tol"] == 1e-9

@@ -100,6 +100,29 @@ def test_spin_frame_verifies():
     assert np.allclose(p1 + p2, V.unit)
 
 
+def _broken_matrix_frame(defect):
+    """The matrix:3 frame with one defect; each defect is the first check
+    verify_frame meets that fails."""
+    A, frame = matrix_jordan(3)
+    ps = frame.projections
+    if defect == "non_projection":
+        ps[0] = 2.0 * ps[0]
+    elif defect == "non_orthogonal":
+        # a rank-one projection onto (e_0 + e_1)/sqrt(2), not orthogonal to e_00
+        ps[1] = 0.5 * matrix_coords([[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+    elif defect == "non_symmetry":
+        frame.symmetries[0].element = 2.0 * frame.symmetries[0].element
+    return A, frame
+
+
+@pytest.mark.parametrize("defect", ["non_projection", "non_orthogonal",
+                                    "non_symmetry"])
+def test_verify_frame_rejects(defect):
+    A, frame = matrix_jordan(3)
+    assert verify_frame(A, frame)
+    assert not verify_frame(*_broken_matrix_frame(defect))
+
+
 def test_spin_axioms():
     V = spin_factor(4)
     assert max(check_axioms(V, samples=30, seed=1).values()) < 1e-10
@@ -183,8 +206,10 @@ def test_direct_sum_structure():
     assert len(center_basis(S)) == 2
     for sm in summands:
         summand = algebra_by_name(sm.name).algebra
-        assert jordan_homomorphism_residual(S, summand, sm.proj) <= 1e-9
-        assert np.allclose(sm.proj @ S.unit, summand.unit)
+        # the coordinate projection onto the summand
+        proj = np.eye(S.dim)[sm.offset:sm.offset + sm.dim]
+        assert jordan_homomorphism_residual(S, summand, proj) <= 1e-9
+        assert np.allclose(proj @ S.unit, summand.unit)
 
 
 def test_function_algebra_two_points():

@@ -1,16 +1,23 @@
-"""End-to-end CLI checks over a subprocess: exit codes, canonical output,
-environment seeding."""
+"""End-to-end CLI checks: exit codes, canonical output, environment seeding.
 
+`run_cli` calls `jordanlab.cli.main` in this process; one test runs the real
+`python -m jordanlab.cli` entry point in a child process.
+"""
+
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from jordanlab import cli
 from jordanlab.algebra_zoo import algebra_by_name
+from jordanlab.elementary_ops import build_kit
 from jordanlab.genverify import (
     make_adversarial,
     make_associating_map,
@@ -25,11 +32,37 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(*args, env=None):
+    """`jordanlab <args>` in process, under `env` if given: the exit code
+    and the captured output, as a finished child process reports them."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = dict(os.environ)
+    if env is not None:
+        os.environ.clear()
+        os.environ.update(env)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as ex:    # argparse errors and unknown names
+                code = ex.code
+    finally:
+        os.environ.clear()
+        os.environ.update(saved)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def test_module_entry_point_in_a_child_process():
     # the child imports the package from this checkout, installed or not
-    env = dict(os.environ if env is None else env)
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    cmd = [sys.executable, "-m", "jordanlab.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    cmd = [sys.executable, "-m", "jordanlab.cli"]
+    r = subprocess.run([*cmd, "zoo", "list"], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == run_cli("zoo", "list").stdout
+    r = subprocess.run([*cmd, "kit", "build", "--algebra", "one"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 4
+    assert "frame invalid" in r.stderr
 
 
 def test_zoo_list():
@@ -178,18 +211,23 @@ def _malformed_input(case):
         lin["matrix"]["data"][4] = [float("nan"), 0.0]
     elif case == "wrong_shape":
         lin = linop_to_json(A, np.eye(4))
+    elif case == "data_too_short":
+        lin["matrix"]["data"].pop()
     elif case == "trace_nan_entry":
         rows[0][3] = float("nan")
     elif case == "trace_index_too_large":
         rows[0][2] = 9
     elif case == "trace_index_negative":
         rows[0][0] = -1
+    elif case == "trace_short_rows":
+        trace["tensor"] = [row[:4] for row in rows]
     return ("trace", trace) if case.startswith("trace") else ("linear", lin)
 
 
 @pytest.mark.parametrize("case", [
-    "data_string", "nan_entry", "wrong_shape", "trace_nan_entry",
-    "trace_index_too_large", "trace_index_negative"])
+    "data_string", "nan_entry", "wrong_shape", "data_too_short",
+    "trace_nan_entry", "trace_index_too_large", "trace_index_negative",
+    "trace_short_rows"])
 def test_malformed_input_exits_3(tmp_path, case):
     target, doc = _malformed_input(case)
     inp = tmp_path / "bad.json"
@@ -290,3 +328,74 @@ def test_canonical_float_format(tmp_path):
     assert text.count("\n") == 1
     doc = json.loads(text)
     assert list(doc) == sorted(doc)
+
+
+def test_failed_records_exit_1():
+    r = run_cli("verify", "axioms", "--trials", "1", "--tol", "1e-300")
+    assert r.returncode == 1
+    assert "10 records failed" in r.stderr
+
+
+def test_out_is_a_directory_exits_3(tmp_path):
+    r = run_cli("zoo", "list", "--out", str(tmp_path))
+    assert r.returncode == 3
+    assert "i/o error" in r.stderr
+
+
+def test_decompose_one_dim_summand_exits_4(tmp_path):
+    A = algebra_by_name("sum:one+matrix:3").algebra
+    inp = tmp_path / "lin.json"
+    inp.write_text(json.dumps(linop_to_json(A, np.eye(A.dim))))
+    r = run_cli("decompose", "linear", "--algebra", "sum:one+matrix:3",
+                "--input", str(inp))
+    assert r.returncode == 4
+    assert "frame invalid" in r.stderr
+
+
+def test_alternate_spin3_kit_exits_4():
+    r = run_cli("kit", "build", "--algebra", "spin:3", "--alternate")
+    assert r.returncode == 4
+    assert "third spin unit" in r.stderr
+
+
+def test_residual_past_the_certificate_exits_7(tmp_path):
+    # 1e-7 of noise: the certificate reads 1.4e-7 and passes at tol 3e-7,
+    # the standard-form residual reads 3.8e-7 and does not
+    A = algebra_by_name("matrix:3").algebra
+    Q = np.random.default_rng(5).standard_normal((9, 9))
+    T = make_associating_map("matrix:3", 5).op + 1e-7 * Q
+    inp = tmp_path / "lin.json"
+    inp.write_text(json.dumps(linop_to_json(A, T)))
+    r = run_cli("decompose", "linear", "--algebra", "matrix:3",
+                "--input", str(inp), "--tol", "3e-7")
+    assert r.returncode == 7, r.stderr
+    assert "ResidualExceeded" in r.stderr
+
+
+def test_decompose_with_built_kit_file(tmp_path):
+    kit = tmp_path / "kit.json"
+    assert run_cli("kit", "build", "--algebra", "matrix:3", "--alternate",
+                   "--out", str(kit)).returncode == 0
+    A = algebra_by_name("matrix:3").algebra
+    gen = make_associating_map("matrix:3", 24)
+    inp = tmp_path / "lin.json"
+    inp.write_text(json.dumps(linop_to_json(A, gen.op)))
+    r = run_cli("decompose", "linear", "--algebra", "matrix:3",
+                "--input", str(inp), "--kit", str(kit))
+    assert r.returncode == 0, r.stderr
+    lam = np.array([complex(re, im) for re, im in json.loads(r.stdout)["lambda"]])
+    assert np.abs(lam - gen.lam).max() < 1e-8
+
+
+def test_kit_failing_its_self_check_exits_5(monkeypatch):
+    # every built-in kit verifies, so a broken builder is simulated
+    def broken(entry, tol, alternate=False):
+        kit = build_kit(entry, tol, alternate)
+        kit.e_ops[1] = kit.e_ops[1] + 1e-3
+        return kit
+
+    monkeypatch.setattr(cli, "build_kit", broken)
+    r = run_cli("kit", "build", "--algebra", "matrix:3")
+    assert r.returncode == 5
+    assert "kit residual too large" in r.stderr and "kronecker_max" in r.stderr
+    assert json.loads(r.stdout)["verification"]["passed"] is False

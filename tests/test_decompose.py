@@ -89,6 +89,14 @@ def test_noncentral_multiplication_rejected():
         decompose_linear(A3, T, KIT3)
 
 
+def test_unchecked_noncentral_multiplication_fails_its_residual():
+    # past no certificate, the formulas give a lambda that is not central
+    c = np.zeros(9)
+    c[matrix_unit_index(3, 0, 1)] = 1.0
+    with pytest.raises(ResidualExceeded):
+        decompose_linear(A3, mult_operator(A3, c), KIT3, check=False)
+
+
 def test_linear_kit_missing():
     with pytest.raises(KitMissing):
         decompose_linear(A3, np.eye(9), None)
@@ -124,6 +132,14 @@ def test_trace_rejects_non_associating():
     assert trace_associating_residual(A3, B) > 1e-3
     with pytest.raises(NotAssociating):
         decompose_trace(A3, B, KIT3)
+
+
+def test_unchecked_perturbed_trace_fails_its_residual():
+    gen = make_associating_trace("matrix:3", 22)
+    noise = np.random.default_rng(0).standard_normal((9, 9, 9))
+    B = BilinearMap(A3, gen.bilinear.tensor + 1e-7 * (noise + noise.transpose(1, 0, 2)))
+    with pytest.raises(ResidualExceeded):
+        decompose_trace(A3, B, KIT3, check=False)
 
 
 def test_bresar_residual_small_for_valid_trace():
@@ -244,6 +260,9 @@ def test_bilinear_json_roundtrip():
     B = struct_trace(A3)
     back = bilinear_from_json(bilinear_to_json(B), A3)
     assert np.array_equal(back.tensor, B.tensor)
+    zero = bilinear_to_json(BilinearMap(A3, np.zeros((9, 9, 9))))
+    assert zero["tensor"] == []
+    assert not bilinear_from_json(zero, A3).tensor.any()
 
 
 # --- preservers ---------------------------------------------------------
@@ -269,6 +288,23 @@ def test_scaled_symmetry_preserver():
     # J maps the center into the center
     Z = center_matrix(A3)
     assert _center_column_residual(A3, form.J @ Z, DEFAULT_TOL) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["func:matrix:3:2", "sum:matrix:3+matrix:3"])
+def test_preserver_recovers_a_summand_swap(name):
+    # with two isomorphic summands the generator composes J with their swap
+    # on some seeds; the decomposition must recover J either way
+    entry = algebra_by_name(name)
+    A, kit = entry.algebra, build_kit(entry)
+    swapped = []
+    for seed in range(12):
+        gen = make_standard_preserver(name, seed)
+        swapped.append(np.abs(gen.J[:9, 9:]).max() > 0)
+        form = decompose_preserver(A, A, gen.op, kit, check=False)
+        err = max(float(np.abs(got - want).max()) for got, want in
+                  ((form.z0, gen.z0), (form.J, gen.J), (form.beta, gen.beta)))
+        assert err <= 1e-8, (seed, err)
+    assert sum(swapped) == 3
 
 
 def test_preserver_rejects_singular():

@@ -219,3 +219,10 @@ def test_spin_kit_rejects_s_with_2p_o_s_not_s():
     assert np.abs(2.0 * product(V, p1, f1) - f1).max() > 0.5
     with pytest.raises(FrameInvalid):
         build_kit_spin(V, Frame([p1, p2], [FrameSymmetry(f1, 0, 1)]))
+
+
+def test_spin_kit_rejects_frame_without_exchanging_symmetry():
+    V = spin_factor(4)
+    frame = Frame(spin_frame(V).projections, [])
+    with pytest.raises(FrameInvalid, match="lacks a symmetry"):
+        build_kit_spin(V, frame)

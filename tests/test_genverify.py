@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import jordanlab.genverify as gv
 from jordanlab.algebra_zoo import algebra_by_name
 from jordanlab.elementary_ops import build_kit
 from jordanlab.decompose import (
@@ -67,7 +68,7 @@ def test_random_element_seeded():
 
 
 @pytest.mark.parametrize("name", ["matrix:3", "spin:5", "albert",
-                                  "sum:matrix:2+spin:4"])
+                                  "sum:matrix:2+spin:4", "sum:one+matrix:2"])
 def test_random_symmetry_and_automorphism(name):
     entry = algebra_by_name(name)
     A = entry.algebra
@@ -211,6 +212,17 @@ def test_negative_controls_all_expected_failures_caught():
     rep = run_suite("negative_controls", GenConfig(samples=2))
     assert rep.all_pass()
     assert all(r["expected_failure"] for r in rep.records)
+
+
+def test_negative_controls_flag_a_decomposer_that_succeeds(monkeypatch):
+    monkeypatch.setattr(gv, "decompose_linear", lambda *args, **kwargs: None)
+    rep = run_suite("negative_controls", GenConfig(samples=2))
+    bad = [r for r in rep.records if not r["pass"]]
+    # two algebras x two adversarial kinds, all handed to decompose_linear
+    assert len(bad) == 4
+    assert {r["check_name"] for r in bad} == {"neg:non_associating",
+                                              "neg:non_central_mu"}
+    assert {r["detail"] for r in bad} == {"decomposition unexpectedly succeeded"}
 
 
 def test_adversarial_rate_mixes_failures_in():

@@ -9,6 +9,7 @@ from jordanlab.algebra_zoo import (
     permutation_symmetry,
 )
 from jordanlab.jordan_core import (
+    JordanAlgebra,
     algebra_from_json,
     algebra_to_json,
     associator,
@@ -149,6 +150,16 @@ def test_center_of_full_matrix_algebra():
     assert not in_center_span(A3, matrix_coords(np.diag([1.0, 0.0, 0.0])))
     Z = center_matrix(A3)
     assert Z.shape == (9, 1)
+
+
+def test_center_matrix_of_a_centerless_algebra():
+    # b0 o b0 = b1, b1 o b1 = b0: commutative, not unital, trivial center
+    c = np.zeros((2, 2, 2))
+    c[0, 0, 1] = c[1, 1, 0] = 1.0
+    A = JordanAlgebra(name="centerless", dim=2, structure=c,
+                      unit=np.array([1.0, 0.0]), star=np.eye(2))
+    assert center_basis(A) == []
+    assert center_matrix(A).shape == (2, 0)
 
 
 def test_projections_and_symmetries():

@@ -68,6 +68,11 @@ def test_kernel_basis_full_rank():
     assert kernel_basis(np.eye(3)) == []
 
 
+def test_kernel_basis_without_rows_is_the_whole_space():
+    basis = kernel_basis(np.zeros((0, 3)))
+    assert np.allclose(np.stack(basis), np.eye(3))
+
+
 @given(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6))
 def test_scalar_json_roundtrip(re, im):
     z = complex(re, im)
