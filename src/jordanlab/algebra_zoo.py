@@ -336,12 +336,25 @@ def _atomic_by_name(name: str) -> ZooEntry:
     raise KeyError(f"unknown algebra name {name!r}")
 
 
+MAX_DIM = 54   # the largest dimension a registry name may ask for
+
+
+def _atomic_dim(name: str) -> int:
+    """The dimension of an atomic name, read off the name alone."""
+    kind, _, arg = name.partition(":")
+    if kind in ("matrix", "spin") and arg:
+        return int(arg) ** 2 if kind == "matrix" else int(arg)
+    return {"albert": 27, "one": 1}.get(name, 0)   # 0: _atomic_by_name refuses it
+
+
 def algebra_by_name(name: str) -> ZooEntry:
     """Resolve a registry name: matrix:n, spin:k, albert, one,
-    sum:<a>+<b>+..., func:<base>:<m>."""
+    sum:<a>+<b>+..., func:<base>:<m>.  A name whose dimension exceeds
+    MAX_DIM is refused before anything is built."""
     name = name.strip()
     if name.startswith("sum:"):
         parts = name[len("sum:"):].split("+")
+        _cap(name, sum(_atomic_dim(p) for p in parts))
         entries = [_atomic_by_name(p) for p in parts]
         A, summands = direct_sum([e.algebra for e in entries], name=name)
         return ZooEntry(A, summands=summands, kind="sum")
@@ -349,11 +362,18 @@ def algebra_by_name(name: str) -> ZooEntry:
         rest = name[len("func:"):]
         base_name, m_str = rest.rsplit(":", 1)
         m = int(m_str)
+        _cap(name, _atomic_dim(base_name) * m)
         base = _atomic_by_name(base_name)
         A, summands = function_algebra(base.algebra, m)
         A.name = name
         return ZooEntry(A, summands=summands, kind="func")
+    _cap(name, _atomic_dim(name))
     return _atomic_by_name(name)
+
+
+def _cap(name: str, dim: int):
+    if dim > MAX_DIM:
+        raise ValueError(f"{name} has dimension {dim}, above the limit of {MAX_DIM}")
 
 
 def registry_names() -> list:

@@ -1,10 +1,10 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 verification records failed, 2 unknown algebra or
-suite name or bad option value, 3 I/O error or malformed input file, 4 invalid
-frame, 5 kit unusable, kit residual too large, or a --kit file that fails
-verification, 6 precondition rejected (not associating / not symmetric / not
-bijective), 7 decomposition failed past the preconditions.
+Exit codes: 0 success, 1 verification records failed, 2 unknown or oversized
+algebra, unknown suite or bad option value, 3 I/O error or malformed input
+file, 4 invalid frame, 5 kit unusable, kit residual too large, or a --kit file
+that fails verification, 6 precondition rejected (not associating / not
+symmetric / not bijective), 7 decomposition failed past the preconditions.
 
 All JSON output is canonical: sorted keys, floats rendered with 17
 significant digits, no whitespace variation, so identical inputs produce
@@ -105,7 +105,7 @@ def _algebra(name: str):
     try:
         return algebra_by_name(name)
     except (KeyError, ValueError) as ex:
-        print(f"unknown algebra: {ex}", file=sys.stderr)
+        print(f"bad algebra name: {ex}", file=sys.stderr)
         sys.exit(EXIT_UNKNOWN_NAME)
 
 

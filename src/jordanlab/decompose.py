@@ -33,6 +33,7 @@ from .numerics import (
     as_cmatrix,
     kernel_basis,
     matrix_to_json,
+    require_finite,
     tensor_from_json,
     tensor_to_json,
     vector_to_json,
@@ -106,7 +107,7 @@ class BilinearMap:
     tensor: np.ndarray
 
     def __post_init__(self):
-        self.tensor = np.asarray(self.tensor, dtype=np.complex128)
+        self.tensor = require_finite(np.asarray(self.tensor, dtype=np.complex128))
         n = self.algebra.dim
         if self.tensor.shape != (n, n, n):
             raise ValueError("bilinear tensor shape mismatch")
@@ -145,7 +146,9 @@ class PreserverDecomposition:
 
 # ---------------------------------------------------------------------------
 # associating certificates: exact sweeps over every basis tuple, read on the
-# sparse support of the associator.  For each b_m they keep only the columns
+# sparse support of the associator.  The residuals sweep every slice b_m and
+# keep a NaN; the verdicts stop at the first slice not within tol, a NaN
+# included, and a rejection names that b_m.  Slice b_m keeps only the columns
 # (z, l) where some [b_a, b_m, b_z]_l is nonzero: on func:albert:2, 304 to 468
 # of n^2 = 2,916, holding on average 467 of the n^3 = 157,464 coordinates.  A
 # term off the support reads an appended zero column.
@@ -158,6 +161,7 @@ class PreserverDecomposition:
 
 class _AssocSlice(NamedTuple):
     """[b_a, b_m, b_z]_l for one b_m, on the columns (z, l) where it is nonzero."""
+    m: int             # the basis index of b_m; slices without support are skipped
     rows: np.ndarray   # the a with [b_a, b_m, .] not identically zero
     z: np.ndarray      # column c is the pair (z[c], l[c])
     l: np.ndarray
@@ -185,7 +189,7 @@ def associator_tensor(A: JordanAlgebra) -> tuple:
             rows = np.flatnonzero(nz.any(axis=1))
             where = np.full(n * n, len(cols))
             where[cols] = np.arange(len(cols))
-            support.append(_AssocSlice(rows, *np.divmod(cols, n),
+            support.append(_AssocSlice(m, rows, *np.divmod(cols, n),
                                        W[np.ix_(rows, cols)], where.reshape(n, n)))
         A._caches[key] = tuple(support)
     return A._caches[key]
@@ -206,21 +210,34 @@ def _support_products(support, X):
         yield s, P
 
 
-def associating_linear_residual(A: JordanAlgebra, T) -> float:
-    """max over basis triples of |[T(b_i), b_m, b_j] + [T(b_j), b_m, b_i]|,
+def _linear_maxima(A: JordanAlgebra, T: np.ndarray):
+    """Yield (s, max of |[T(b_i), b_m, b_j] + [T(b_j), b_m, b_i]|) per slice s,
     read at the (j, l) on the support; the sum is symmetric in (i, j)."""
-    T = as_cmatrix(T)
-    worst = 0.0
     for s, R in _support_products(associator_tensor(A), T.T):
         # R[i, c] = [T(b_i), b_m, b_z]_l; swapped[c, i] = [T(b_z), b_m, b_i]_l
         swapped = R[s.z[:, None], s.where[:, s.l].T]
-        worst = max(worst, float(np.abs(R[:, :-1] + swapped.T).max()))
-    return worst
+        yield s, float(np.abs(R[:, :-1] + swapped.T).max())
+
+
+def _violation(maxima, tol: Tolerance, what: str = "input fails the"):
+    """NotAssociating naming the first slice whose value is not <= tol, a NaN
+    included, or None; the slices after it are never computed."""
+    for s, r in maxima:
+        if not r <= tol.abs_eps:
+            return NotAssociating(
+                f"{what} associator certificate at b_m={s.m}: residual {r:.1e} "
+                f"> tol {tol.abs_eps:.1e} (ratio {r / tol.abs_eps:.1e})")
+    return None
+
+
+def associating_linear_residual(A: JordanAlgebra, T) -> float:
+    """max over basis triples of |[T(b_i), b_m, b_j] + [T(b_j), b_m, b_i]|."""
+    return float(np.max([0.0, *(r for _, r in _linear_maxima(A, as_cmatrix(T)))]))
 
 
 def is_associating_linear(A: JordanAlgebra, T,
                           tol: Tolerance = DEFAULT_TOL) -> bool:
-    return associating_linear_residual(A, T) <= tol.abs_eps
+    return _violation(_linear_maxima(A, as_cmatrix(T)), tol) is None
 
 
 # the trace certificate takes x (and y) in blocks of rows that fill about
@@ -228,15 +245,14 @@ def is_associating_linear(A: JordanAlgebra, T,
 _BLOCK_BYTES = 1 << 21
 
 
-def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
-    """Cyclic certificate: max residual of
-    [B(x,y),m,z] + [B(x,z),m,y] + [B(y,z),m,x] over basis (x,y,z,m), taken
-    on the symmetric part of B and read at the (z, l) on the support.  The
-    last two terms are added first, so the sum is symmetric in (x, y) bit
-    for bit and only the blocks of x <= y are evaluated."""
+def _cyclic_maxima(A: JordanAlgebra, B: BilinearMap):
+    """Yield (s, max residual of [B(x,y),m,z] + [B(x,z),m,y] + [B(y,z),m,x]
+    over basis (x,y,z)) per slice s, taken on the symmetric part of B and read
+    at the (z, l) on the support.  The last two terms are added first, so the
+    sum is symmetric in (x, y) bit for bit and only the blocks of x <= y are
+    evaluated."""
     n = A.dim
     sym = 0.5 * (B.tensor + B.tensor.transpose(1, 0, 2))
-    worst = 0.0
     for s, P in _support_products(associator_tensor(A), sym.reshape(n * n, n)):
         k = len(s.z)
         V = P.reshape(n, n, k + 1)   # V[x, y, c] = [B(x,y),m,z]_l at c = (z, l)
@@ -244,6 +260,7 @@ def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
         swap = s.z * (k + 1) + s.where[:, s.l]   # rows[x, swap[y, c]] = [B(x,z),m,y]_l
         size = max(4, _BLOCK_BYTES // rows[0].nbytes)
         starts = range(0, n, size)
+        worst = 0.0
         for i in starts:
             I = slice(i, i + size)
             for j in starts[i // size:]:
@@ -251,16 +268,17 @@ def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
                 cyc = np.take(rows[I], swap[J], axis=1)
                 cyc += np.take(rows[J], swap[I], axis=1).transpose(1, 0, 2)
                 cyc += V[I, J, :k]
-                worst = max(worst, float(np.abs(cyc).max()))
-    return worst
+                worst = np.maximum(worst, np.abs(cyc).max())   # keeps a NaN
+        yield s, float(worst)
 
 
-class _Asymmetric(ValueError):
-    """trace_is_associating's refusal, carrying the symmetry residual."""
+def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
+    """Cyclic certificate: the largest residual of any slice."""
+    return float(np.max([0.0, *(r for _, r in _cyclic_maxima(A, B))]))
 
-    def __init__(self, residual: float):
-        super().__init__("bilinear map is not symmetric")
-        self.residual = residual
+
+class _Asymmetric(NotAssociating, ValueError):
+    """trace_is_associating's refusal of a map that is not symmetric."""
 
 
 def trace_is_associating(A: JordanAlgebra, B: BilinearMap,
@@ -268,18 +286,15 @@ def trace_is_associating(A: JordanAlgebra, B: BilinearMap,
     """The cyclic certificate within tol; B must be symmetric within tol."""
     sym = B.symmetry_residual()
     if sym > tol.abs_eps:
-        raise _Asymmetric(sym)
-    return trace_associating_residual(A, B) <= tol.abs_eps
+        raise _Asymmetric(f"trace is not symmetric: residual {sym:.1e} > tol "
+                          f"{tol.abs_eps:.1e} (ratio {sym / tol.abs_eps:.1e})")
+    return _violation(_cyclic_maxima(A, B), tol) is None
 
 
 def _require_associating(A, B: BilinearMap, tol, what: str):
-    try:
-        associating = trace_is_associating(A, B, tol)
-    except _Asymmetric as err:
-        raise NotAssociating(
-            f"{what} is not symmetric: residual {err.residual:.3e}") from None
-    if not associating:
-        raise NotAssociating(f"{what} fails the cyclic associator certificate")
+    if not trace_is_associating(A, B, tol):
+        # found again: the sweep stops at the slice the verdict stopped at
+        raise _violation(_cyclic_maxima(A, B), tol, f"{what} fails the cyclic")
 
 
 def bresar_residual(A: JordanAlgebra, B: BilinearMap) -> float:
@@ -323,7 +338,7 @@ def decompose_linear(A: JordanAlgebra, T, kit: ElementaryKit,
     kit = _kit_for(A, kit)
     T = as_cmatrix(T)
     if check and not is_associating_linear(A, T, tol):
-        raise NotAssociating("map fails the polarized associator certificate")
+        raise _violation(_linear_maxima(A, T), tol, "map fails the polarized")
     lam = kit.apply(1, T @ kit.u)
     mu = kit.e_ops[0] @ T - mult_operator(A, lam) @ kit.e_ops[0]
     recon = float(np.abs(T - mult_operator(A, lam) - mu).max())

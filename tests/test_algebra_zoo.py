@@ -233,4 +233,8 @@ def test_registry_by_name():
         algebra_by_name("matrix:1")
     with pytest.raises(ValueError):
         algebra_by_name("spin:2")
+    assert algebra_by_name("spin:54").algebra.dim == 54
+    for name in ("spin:55", "func:albert:3", "sum:matrix:7+spin:6"):
+        with pytest.raises(ValueError, match="above the limit of 54"):
+            algebra_by_name(name)
     assert any(n.startswith("matrix") for n in registry_names())

@@ -7,6 +7,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -83,6 +84,18 @@ def test_zoo_export(tmp_path):
 def test_unknown_algebra_exits_2():
     assert run_cli("zoo", "export", "--algebra", "matrix:1").returncode == 2
     assert run_cli("kit", "build", "--algebra", "blob:9").returncode == 2
+
+
+def test_algebra_above_the_dimension_limit_exits_2_unbuilt(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an algebra above the limit was built")
+
+    for constructor in ("matrix_jordan", "albert_algebra", "direct_sum"):
+        monkeypatch.setattr(f"jordanlab.algebra_zoo.{constructor}", refuse)
+    for name, dim in (("matrix:40", 1600), ("sum:albert+albert+albert", 81)):
+        r = run_cli("zoo", "export", "--algebra", name)
+        assert r.returncode == 2, r.stderr
+        assert f"{name} has dimension {dim}, above the limit of 54" in r.stderr
 
 
 def test_kit_build_roundtrip(tmp_path):
@@ -189,6 +202,20 @@ def test_decompose_rejects_non_associating_exits_6(tmp_path):
     assert "NotAssociating" in r.stderr
 
 
+def test_rejection_names_the_slice_residual_and_tol(tmp_path):
+    gen = make_associating_trace("matrix:3", 22)
+    noise = np.random.default_rng(0).standard_normal((9, 9, 9))
+    t = gen.bilinear.tensor + 1e-4 * (noise + noise.transpose(1, 0, 2))
+    inp = tmp_path / "perturbed.json"
+    inp.write_text(json.dumps(bilinear_to_json(BilinearMap(gen.bilinear.algebra, t))))
+    r = run_cli("decompose", "trace", "--algebra", "matrix:3",
+                "--input", str(inp), "--tol", "1e-6")
+    assert r.returncode == 6, r.stderr
+    assert re.search(r"NotAssociating: trace fails the cyclic associator certificate "
+                     r"at b_m=\d+: residual \d\.\de-0\d > tol 1\.0e-06 "
+                     r"\(ratio \d\.\de\+0\d\)$", r.stderr.strip()), r.stderr
+
+
 def test_decompose_broken_preserver_exits_6_or_7(tmp_path):
     A = algebra_by_name("matrix:3").algebra
     phi = make_adversarial("broken_J", "matrix:3", 3)
@@ -247,7 +274,8 @@ def test_asymmetric_trace_exits_6(tmp_path):
     r = run_cli("decompose", "trace", "--algebra", "matrix:3",
                 "--input", str(inp))
     assert r.returncode == 6, r.stderr
-    assert "not symmetric" in r.stderr
+    assert "trace is not symmetric: residual 1.0e-01 > tol 1.0e-09 (ratio 1.0e+08)" \
+        in r.stderr
 
 
 @pytest.mark.parametrize("args", [

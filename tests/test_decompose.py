@@ -1,6 +1,10 @@
+import functools
+import re
+
 import numpy as np
 import pytest
 
+from jordanlab import decompose
 from jordanlab.algebra_zoo import algebra_by_name, matrix_unit_index
 from jordanlab.decompose import (
     BilinearMap,
@@ -11,6 +15,7 @@ from jordanlab.decompose import (
     ResidualExceeded,
     _center_column_residual,
     associating_linear_residual,
+    associator_tensor,
     bilinear_from_json,
     bilinear_to_json,
     bresar_residual,
@@ -39,7 +44,7 @@ from jordanlab.jordan_core import (
     product,
     u_operator,
 )
-from jordanlab.numerics import DEFAULT_TOL
+from jordanlab.numerics import DEFAULT_TOL, Tolerance
 
 E3 = algebra_by_name("matrix:3")
 A3 = E3.algebra
@@ -146,46 +151,57 @@ def test_bresar_residual_small_for_valid_trace():
     assert bresar_residual(A3, struct_trace(A3)) < 1e-12
 
 
-def _dense_certificates(A, T, B):
-    """The three certificates swept over the dense n^4 associator tensor,
-    ASSOC[a,m,z,l] = [b_a, b_m, b_z]_l.  The cyclic sum adds its last two
-    terms first and is taken on the symmetric part of B, as in the library."""
+def _dense_slices(A, T, B):
+    """The three certificates for each b_m, swept over the dense n^4
+    associator tensor ASSOC[a,m,z,l] = [b_a, b_m, b_z]_l.  The cyclic sum adds
+    its last two terms first and is taken on the symmetric part of B, as in
+    the library."""
     n = A.dim
     c = A.structure
     W = np.einsum("amc,czl->amzl", c, c)
     assoc = W - W.transpose(2, 1, 0, 3)
     R = np.tensordot(T, assoc, axes=([0], [0]))   # R[i,m,j,l] = [T(b_i),b_m,b_j]_l
-    linear = np.abs(R + R.transpose(2, 1, 0, 3)).max()
-    cyclic = bresar = 0.0
+    linear = np.abs(R + R.transpose(2, 1, 0, 3)).max(axis=(0, 2, 3))
+    cyclic, bresar = np.zeros(n), np.zeros(n)
     sym = 0.5 * (B.tensor + B.tensor.transpose(1, 0, 2))
     for m in range(n):
         a_m = assoc[:, m].reshape(n, n * n)
         V = (sym.reshape(n * n, n) @ a_m).reshape((n,) * 4)   # [B(x,y),m,z]_l
         cyc = V + (V.transpose(0, 2, 1, 3) + V.transpose(2, 0, 1, 3))
-        cyclic = max(cyclic, np.abs(cyc).max())
+        cyclic[m] = np.abs(cyc).max()
         V = (B.tensor.reshape(n * n, n) @ a_m).reshape((n,) * 4)
         two = 2.0 * np.einsum("ijjl->ijl", V)
-        bresar = max(bresar, np.abs(two + np.einsum("jjil->ijl", V)).max())
+        bresar[m] = np.abs(two + np.einsum("jjil->ijl", V)).max()
     return linear, cyclic, bresar
 
 
-@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
-                                  "sum:matrix:3+matrix:4"])
-def test_certificates_match_dense_sweep(name):
+@functools.lru_cache(maxsize=None)
+def _certificate_inputs(name):
+    """Maps and traces on `name`: generated, perturbed by 1e-4, M_c with a
+    random c (maps), and the trace a generated preserver induces (traces).
+    Built once per name; callers must not modify them."""
     A = algebra_by_name(name).algebra
     n = A.dim
     rng = np.random.default_rng(41)
+    T = make_associating_map(name, 44).op
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    maps = [T, T + 1e-4 * rng.standard_normal((n, n)), mult_operator(A, c)]
     gen = make_associating_trace(name, 42).bilinear
     noise = rng.standard_normal((n, n, n)) + 1j * rng.standard_normal((n, n, n))
     phi = make_standard_preserver(name, 43).op
     traces = [gen, BilinearMap(A, gen.tensor + 1e-4 * (noise + noise.transpose(1, 0, 2))),
               induced_trace(A, A, phi)]
-    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    maps = [make_associating_map(name, 44).op, mult_operator(A, c)]
-    for T, B in zip(maps + maps[:1], traces):
+    return A, maps, traces
+
+
+@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4"])
+def test_certificates_match_dense_sweep(name):
+    A, maps, traces = _certificate_inputs(name)
+    for T, B in zip(maps, traces):
         got = (associating_linear_residual(A, T), trace_associating_residual(A, B),
                bresar_residual(A, B))
-        want = _dense_certificates(A, T, B)
+        want = [slices.max() for slices in _dense_slices(A, T, B)]
         for g, w in zip(got, want):
             assert (g <= DEFAULT_TOL.abs_eps) == (w <= DEFAULT_TOL.abs_eps)
             assert abs(g - w) <= 1e-14 * w
@@ -212,6 +228,120 @@ def test_certificate_holds_no_dense_tensor_and_reads_the_symmetric_part():
     sym = BilinearMap(A, 0.5 * (t + t.transpose(1, 0, 2)))
     assert trace_associating_residual(A, BilinearMap(A, t)) \
         == trace_associating_residual(A, sym)
+
+
+@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4"])
+def test_verdicts_agree_with_residuals_at_the_threshold(name):
+    A, maps, traces = _certificate_inputs(name)
+    # exactly symmetric, so that no tol down to r refuses them as asymmetric
+    traces = [BilinearMap(A, 0.5 * (B.tensor + B.tensor.transpose(1, 0, 2))) for B in traces]
+    pairs = [(associating_linear_residual, is_associating_linear, T) for T in maps] \
+        + [(trace_associating_residual, trace_is_associating, B) for B in traces]
+    verdicts = []
+    for residual, verdict, X in pairs:
+        r = residual(A, X)
+        for t in (r * (1 - 1e-9), r, r * (1 + 1e-9)):
+            if t > 0:
+                assert verdict(A, X, Tolerance(t)) == (r <= t), (verdict.__name__, r, t)
+        verdicts.append(r <= DEFAULT_TOL.abs_eps)
+    # generated and induced inputs pass; perturbed ones and M_c fail
+    assert verdicts == [True, False, False, True, False, True]
+
+
+def test_an_overflowing_input_reads_nan_and_is_rejected():
+    # finite entries whose associators overflow: inf - inf = NaN
+    rng = np.random.default_rng(53)
+    T = 1.7e308 * np.sign(rng.standard_normal((9, 9)))
+    t = np.sign(rng.standard_normal((9, 9, 9)))
+    B = BilinearMap(A3, 1.7e308 * np.sign(t + t.transpose(1, 0, 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(trace_associating_residual(A3, B))
+        assert not trace_is_associating(A3, B)
+        assert not is_associating_linear(A3, T)
+
+
+def test_verdicts_stop_at_the_first_slice_over_tol(monkeypatch):
+    A, maps, traces = _certificate_inputs("sum:matrix:3+matrix:4")
+    slices = len(associator_tensor(A))
+    drawn = []
+    inner = decompose._support_products
+
+    def counting(support, X):
+        for item in inner(support, X):
+            drawn.append(item[0].m)
+            yield item
+
+    monkeypatch.setattr(decompose, "_support_products", counting)
+    for verdict, X, accepted in ((trace_is_associating, traces[0], True),
+                                 (trace_is_associating, traces[1], False),
+                                 (is_associating_linear, maps[0], True),
+                                 (is_associating_linear, maps[1], False)):
+        drawn.clear()
+        assert verdict(A, X) is accepted
+        assert len(drawn) == (slices if accepted else 1), verdict.__name__
+    drawn.clear()
+    trace_associating_residual(A, traces[1])
+    assert len(drawn) == slices
+
+
+def _witness(message):
+    """(m, residual, tol, ratio) named by a NotAssociating message."""
+    got = re.search(r"at b_m=(\d+): residual (\S+) > tol (\S+) \(ratio (\S+)\)$",
+                    message)
+    assert got, message
+    return int(got[1]), *map(float, got.groups()[1:])
+
+
+def test_rejections_name_the_first_slice_over_tol():
+    entry = algebra_by_name("sum:matrix:3+matrix:4")
+    A, maps, traces = _certificate_inputs(entry.algebra.name)
+    kit = build_kit(entry)
+    rng = np.random.default_rng(51)
+    phi = rng.standard_normal((A.dim, A.dim))
+    induced = induced_trace(A, A, phi)
+    # M_c with c the unit on matrix:3 passes every slice b_m of that summand
+    c = entry.summands[0].central_projection.copy()
+    c[9:] = rng.standard_normal(16)
+    tol = DEFAULT_TOL.abs_eps
+    cases = ((decompose_linear, (A, mult_operator(A, c), kit), "map fails the polarized",
+              _dense_slices(A, mult_operator(A, c), traces[0])[0]),
+             (decompose_trace, (A, traces[1], kit), "trace fails the cyclic",
+              _dense_slices(A, maps[0], traces[1])[1]),
+             (decompose_preserver, (A, A, phi, kit), "induced trace fails the cyclic",
+              _dense_slices(A, maps[0], induced)[1]))
+    witnesses = []
+    for call, args, what, dense in cases:
+        with pytest.raises(NotAssociating) as err:
+            call(*args)
+        message = str(err.value)
+        assert message.startswith(what + " associator certificate at b_m=")
+        m, r, named_tol, ratio = _witness(message)
+        assert m == np.flatnonzero(dense > tol)[0]
+        assert named_tol == tol
+        assert r == pytest.approx(dense[m], rel=0.05)
+        assert ratio == pytest.approx(dense[m] / tol, rel=0.05)
+        witnesses.append(m)
+    assert witnesses[0] >= 9 and witnesses[1:] == [0, 0]
+
+
+def test_a_witness_is_named_by_its_basis_index():
+    # b_0, the unit of the `one` summand, has no associator, so it has no slice
+    A = algebra_by_name("sum:one+matrix:3").algebra
+    assert [s.m for s in associator_tensor(A)] == list(range(1, 10))
+    c = np.random.default_rng(52).standard_normal(10)
+    M = mult_operator(A, c)
+    dense = _dense_slices(A, M, struct_trace(A))[0]
+    rejection = decompose._violation(decompose._linear_maxima(A, M), DEFAULT_TOL)
+    assert _witness(str(rejection))[0] == np.flatnonzero(dense > 1e-9)[0] == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_bilinear_map_rejects_non_finite_entries(bad):
+    t = make_associating_trace("matrix:3", 22).bilinear.tensor.copy()
+    t[1, 1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        BilinearMap(A3, t)
 
 
 def test_spin_trace_lambda_is_zero():
