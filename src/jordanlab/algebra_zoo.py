@@ -11,21 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jordan_core import (
-    JordanAlgebra,
-    is_projection,
-    is_symmetry,
-    product,
-    u_operator,
-)
-from .numerics import DEFAULT_TOL, Tolerance
+from .jordan_core import JordanAlgebra
 from .octonion import TENSOR as OCT_TENSOR
 
 __all__ = [
     "Frame",
     "FrameSymmetry",
     "Summand",
-    "verify_frame",
     "matrix_jordan",
     "matrix_unit_index",
     "matrix_coords",
@@ -62,26 +54,6 @@ class Summand:
     offset: int
     dim: int
     central_projection: np.ndarray   # the summand's unit in the sum
-
-
-def verify_frame(A: JordanAlgebra, frame: Frame, tol: Tolerance = DEFAULT_TOL) -> bool:
-    ps = frame.projections
-    for p in ps:
-        if not is_projection(A, p, tol):
-            return False
-    for i, p in enumerate(ps):
-        for q in ps[i + 1:]:
-            if np.abs(product(A, p, q)).max() > tol.abs_eps:
-                return False
-    if np.abs(sum(ps) - A.unit).max() > tol.abs_eps:
-        return False
-    for sym in frame.symmetries:
-        if not is_symmetry(A, sym.element, tol):
-            return False
-        moved = u_operator(A, sym.element) @ ps[sym.source]
-        if np.abs(moved - ps[sym.target]).max() > tol.abs_eps:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

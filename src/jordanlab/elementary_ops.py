@@ -11,6 +11,7 @@ rests on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -19,17 +20,14 @@ from .algebra_zoo import (
     FrameSymmetry,
     ZooEntry,
     algebra_by_name,
-    permutation_symmetry,
-    verify_frame,
 )
 from .jordan_core import (
     JordanAlgebra,
+    _square_residual,
     center_basis,
     element_power,
     element_to_json,
     element_from_json,
-    is_projection,
-    is_symmetry,
     linop_to_json,
     linop_from_json,
     mult_operator,
@@ -41,12 +39,10 @@ from .numerics import DEFAULT_TOL, Tolerance, vector_to_json
 __all__ = [
     "FrameInvalid",
     "ElementaryKit",
-    "build_kit_case1",
-    "build_kit_case2",
+    "verify_frame",
+    "build_frame_kit",
     "build_kit_spin",
     "build_kit",
-    "matrix_case2_inputs",
-    "frame_with_roles",
     "verify_kit",
     "kit_to_json",
     "kit_from_json",
@@ -72,25 +68,14 @@ class ElementaryKit:
         return self.e_ops[i] @ np.asarray(x, dtype=np.complex128)
 
 
-def _log_element(log, role, vec):
-    log.append({"role": role, "coords": vector_to_json(vec)})
+def _log(case: str, A: JordanAlgebra, roles) -> list:
+    return [{"case": case, "algebra": A.name}] + [
+        {"role": role, "coords": vector_to_json(vec)} for role, vec in roles]
 
 
 def _require(cond, message):
     if not cond:
         raise FrameInvalid(message)
-
-
-def frame_with_roles(frame: Frame, order) -> Frame:
-    """Reindex a frame so projections appear in the given role order.
-
-    Picks, for each required exchange (new p1 <-> new p_k), a declared
-    symmetry joining that pair in either direction (U_s swaps both ways).
-    """
-    ps = [frame.projections[i] for i in order]
-    syms = [FrameSymmetry(_find_symmetry(frame, order[0], order[k]), 0, k)
-            for k in range(1, len(order))]
-    return Frame(ps, syms)
 
 
 def _find_symmetry(frame: Frame, source: int, target: int):
@@ -102,142 +87,116 @@ def _find_symmetry(frame: Frame, source: int, target: int):
 
 
 # ---------------------------------------------------------------------------
-# Case I: four pairwise-exchangeable orthogonal projections summing to 1
+# frame checks
 
 
-def build_kit_case1(A: JordanAlgebra, frame: Frame,
-                    tol: Tolerance = DEFAULT_TOL) -> ElementaryKit:
-    _require(len(frame.projections) == 4, "case 1 needs exactly 4 projections")
-    _require(verify_frame(A, frame, tol), "frame verification failed")
-    p1, p2, p3, p4 = frame.projections
-    s = _find_symmetry(frame, 0, 1)
-    sp = _find_symmetry(frame, 0, 2)
-    spp = _find_symmetry(frame, 0, 3)
+def _frame_conditions(A: JordanAlgebra, frame: Frame):
+    """(condition, residual) for each property of a frame, computed lazily
+    in the order they are checked."""
+    ps = frame.projections
+    for a, p in enumerate(ps):
+        yield f"p{a + 1} is a projection", _square_residual(A, p, p)
+    for a, p in enumerate(ps):
+        for b in range(a + 1, len(ps)):
+            yield f"p{a + 1} o p{b + 1} = 0", np.abs(product(A, p, ps[b])).max()
+    yield "the projections sum to 1", np.abs(sum(ps) - A.unit).max()
+    for sym in frame.symmetries:
+        s, a, b = sym.element, sym.source, sym.target
+        yield f"s(p{a + 1}, p{b + 1}) is a symmetry", _square_residual(A, s, A.unit)
+        yield f"U_s(p{a + 1}) = p{b + 1}", np.abs(u_operator(A, s) @ ps[a] - ps[b]).max()
 
-    u = 2.0 * product(A, s, p1)
-    v = 2.0 * product(A, sp, p1)
-    Up3 = u_operator(A, p3)
-    Us = u_operator(A, s)
-    Usp = u_operator(A, sp)
-    Uspp = u_operator(A, spp)
-    E0 = Up3 + Usp @ Up3 + Us @ Usp @ Up3 + Uspp @ Usp @ Up3
-    W = u_operator(A, p1) - Usp @ Up3
-    E2 = W + Us @ W + Usp @ W + Uspp @ W
-    E1 = E2 @ mult_operator(A, u)
 
-    log = [{"case": "I", "algebra": A.name}]
-    for role, vec in (("p1", p1), ("p2", p2), ("p3", p3), ("p4", p4),
-                      ("s", s), ("s'", sp), ("s''", spp), ("u", u), ("v", v)):
-        _log_element(log, role, vec)
-    return ElementaryKit(A, u, {0: E0, 1: E1, 2: E2}, log, v=v)
+def _first_failure(conditions, tol: Tolerance) -> str:
+    """The first condition whose residual is not within tol (a NaN included),
+    with its residual, tol and their ratio; '' when every condition holds."""
+    for what, r in conditions:
+        if not r <= tol.abs_eps:
+            return (f"frame fails {what}: residual {r:.1e} > tol "
+                    f"{tol.abs_eps:.1e} (ratio {r / tol.abs_eps:.1e})")
+    return ""
+
+
+def verify_frame(A: JordanAlgebra, frame: Frame, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """Orthogonal projections resolving the unit, and each declared symmetry
+    a symmetry s with U_s(p_source) = p_target."""
+    return not _first_failure(_frame_conditions(A, frame), tol)
+
+
+def _require_frame(A: JordanAlgebra, frame: Frame, tol: Tolerance, more=()):
+    """FrameInvalid naming the first failed condition of the frame, then of more."""
+    failure = _first_failure(chain(_frame_conditions(A, frame), more), tol)
+    _require(not failure, failure)
 
 
 # ---------------------------------------------------------------------------
-# Case II: three exchangeable projection groups plus a residual q-part
+# full kits: E0, E1, E2 from groups of exchangeable projections
 
 
-@dataclass
-class Case2QPart:
-    """Leftover projections when the frame size is not divisible by 3.
-
-    q1, q2 sit outside p1+p2+p3; r1, r2 sit under p2; t, t' are symmetries
-    with U_t(r1) = q1 and U_t'(r2) = q2.  Any of the pairs may be absent.
-    """
-    q1: np.ndarray = None
-    r1: np.ndarray = None
-    t: np.ndarray = None
-    q2: np.ndarray = None
-    r2: np.ndarray = None
-    t_prime: np.ndarray = None
+def _group_symmetry(A: JordanAlgebra, frame: Frame, pairs) -> np.ndarray:
+    """A symmetry exchanging p_a and p_b for every pair (a, b) at once: the
+    frame's own for a single pair, else 1 - sum(p_a + p_b) + sum U_{p_a+p_b}(s_ab)."""
+    if len(pairs) == 1:
+        return _find_symmetry(frame, *pairs[0])
+    out = A.unit
+    for a, b in pairs:
+        e = frame.projections[a] + frame.projections[b]
+        out = out - e + u_operator(A, e) @ _find_symmetry(frame, a, b)
+    return out
 
 
-def build_kit_case2(A: JordanAlgebra, frame: Frame, qpart: Case2QPart = None,
+def build_frame_kit(A: JordanAlgebra, frame: Frame, order,
                     tol: Tolerance = DEFAULT_TOL) -> ElementaryKit:
-    _require(len(frame.projections) == 3, "case 2 needs exactly 3 projection groups")
-    p1, p2, p3 = frame.projections
-    s = _find_symmetry(frame, 0, 1)
-    sp = _find_symmetry(frame, 0, 2)
-    q = qpart or Case2QPart()
-    zero = np.zeros(A.dim, dtype=np.complex128)
-    q1 = zero if q.q1 is None else q.q1
-    q2 = zero if q.q2 is None else q.q2
-    # groups and q-part: orthogonal projections resolving the unit
-    probe = Frame([p1, p2, p3, q1, q2],
-                  [FrameSymmetry(s, 0, 1), FrameSymmetry(sp, 0, 2)])
-    _require(verify_frame(A, probe, tol), "case 2 frame verification failed")
+    """The full kit (u, v; E0, E1, E2) from a frame of exchangeable
+    projections, taken in the role order `order`.
 
-    u = 2.0 * product(A, s, p1)
-    v = 2.0 * product(A, sp, p1)
-    Up3 = u_operator(A, p3)
-    Us = u_operator(A, s)
-    Usp = u_operator(A, sp)
-    E0 = Up3 + Usp @ Up3 + Us @ Usp @ Up3
-    if np.abs(q1 + q2).max() > 0:
-        E0 = E0 + u_operator(A, q1 + q2)
-    W = u_operator(A, p1) - Usp @ Up3
-    E2 = W + Us @ W + Usp @ W
-
-    log = [{"case": "II", "algebra": A.name}]
-    for role, vec in (("p1", p1), ("p2", p2), ("p3", p3),
-                      ("s", s), ("s'", sp), ("u", u), ("v", v)):
-        _log_element(log, role, vec)
-
-    for qi, ri, ti, tag in ((q.q1, q.r1, q.t, "1"),
-                            (q.q2, q.r2, q.t_prime, "2")):
-        if qi is None:
-            continue
-        _require(ri is not None and ti is not None,
-                 f"q{tag} needs matching r{tag} and symmetry")
-        _require(is_projection(A, ri, tol), f"r{tag} must be a projection")
-        _require(is_symmetry(A, ti, tol), f"t{tag} must be a symmetry")
-        _require(np.abs(product(A, p2, ri) - ri).max() <= tol.abs_eps,
-                 f"r{tag} must lie under p2")
-        Ut = u_operator(A, ti)
-        _require(np.abs(Ut @ ri - qi).max() <= tol.abs_eps,
-                 f"t{tag}: declared exchange fails")
-        Uq = u_operator(A, qi)
-        Ur = u_operator(A, ri)
-        E2 = E2 + Ut @ (Ur - Ut @ Uq)
-        _log_element(log, f"q{tag}", qi)
-        _log_element(log, f"r{tag}", ri)
-        _log_element(log, f"t{tag}", ti)
-
-    E1 = E2 @ mult_operator(A, u)
-    return ElementaryKit(A, u, {0: E0, 1: E1, 2: E2}, log, v=v)
-
-
-def matrix_case2_inputs(frame: Frame, order):
-    """Group the diagonal matrix units of a matrix:n frame, taken in the
-    role order `order`, for the case-2 builder.
-
-    Euclidean split n = 3j + k with k in {0,1,2}: p1, p2, p3 collect units
-    number 1+3t, 2+3t, 3+3t in the given order (t < j, 1-based); the k
-    leftovers become the q-part, reached from r = unit number 2 by
-    transposition symmetries.
+    Four projections make four groups of one (Case I).  Otherwise they make
+    three groups (Case II), group g summing the projections in roles g,
+    g + 3, g + 6, ...; the len(order) % 3 left over form the q-part, each q
+    reached from r, the projection in role 2, by the frame's symmetry t
+    joining them.  s, s' (, s'') carry group 1 to the other groups.  The
+    grouped frame and each q-part triple are checked before use.
     """
-    n = len(order)
-    j, k = divmod(n, 3)
-    if j < 1:
-        raise FrameInvalid("matrix case 2 needs n >= 3")
     units = [frame.projections[i] for i in order]
+    k = 4 if len(units) == 4 else 3
+    j = len(units) // k
+    _require(j >= 1, "a full kit needs at least 3 projections")
+    groups = [sum(units[g:k * j:k]) for g in range(k)]
+    syms = [_group_symmetry(A, frame, list(zip(order[:k * j:k], order[g:k * j:k])))
+            for g in range(1, k)]
+    qs, r = units[k * j:], units[1]
+    ts = [_find_symmetry(frame, order[1], i) for i in order[k * j:]]
+    Uts = [u_operator(A, t) for t in ts]
 
-    def group(start):
-        return sum(units[start - 1 + 3 * t] for t in range(j))
+    def qpart():
+        for i, (q, t, Ut) in enumerate(zip(qs, ts, Uts), 1):
+            yield f"r{i} is a projection", _square_residual(A, r, r)
+            yield f"r{i} lies under p2", np.abs(product(A, groups[1], r) - r).max()
+            yield f"t{i} is a symmetry", _square_residual(A, t, A.unit)
+            yield f"U_t{i}(r{i}) = q{i}", np.abs(Ut @ r - q).max()
 
-    p1, p2, p3 = group(1), group(2), group(3)
-    s = permutation_symmetry(n, {order[3 * t]: order[3 * t + 1] for t in range(j)})
-    sp = permutation_symmetry(n, {order[3 * t]: order[3 * t + 2] for t in range(j)})
-    grouped = Frame([p1, p2, p3], [FrameSymmetry(s, 0, 1), FrameSymmetry(sp, 0, 2)])
-    qpart = Case2QPart()
-    if k >= 1:
-        qpart.q1 = units[3 * j]
-        qpart.r1 = units[1]
-        qpart.t = permutation_symmetry(n, {order[1]: order[3 * j]})
-    if k == 2:
-        qpart.q2 = units[3 * j + 1]
-        qpart.r2 = units[1]
-        qpart.t_prime = permutation_symmetry(n, {order[1]: order[3 * j + 1]})
-    return grouped, qpart
+    exchanges = [FrameSymmetry(s, 0, g) for g, s in enumerate(syms, 1)]
+    _require_frame(A, Frame(groups + qs, exchanges), tol, qpart())
+
+    u = 2.0 * product(A, syms[0], groups[0])
+    v = 2.0 * product(A, syms[1], groups[0])
+    Ug3 = u_operator(A, groups[2])
+    Us = [u_operator(A, s) for s in syms]
+    E0 = sum((U @ Us[1] @ Ug3 for U in Us[:1] + Us[2:]), Ug3 + Us[1] @ Ug3)
+    if qs:
+        E0 = E0 + u_operator(A, sum(qs))
+    W = u_operator(A, groups[0]) - Us[1] @ Ug3
+    E2 = sum((U @ W for U in Us), W)
+    Ur = u_operator(A, r)
+    for q, Ut in zip(qs, Uts):
+        E2 = E2 + Ut @ (Ur - Ut @ u_operator(A, q))
+    E1 = E2 @ mult_operator(A, u)
+
+    roles = [(f"p{g + 1}", x) for g, x in enumerate(groups)]
+    roles += [("s" + "'" * g, s) for g, s in enumerate(syms)] + [("u", u), ("v", v)]
+    for i, (q, t) in enumerate(zip(qs, ts), 1):
+        roles += [(f"q{i}", q), (f"r{i}", r), (f"t{i}", t)]
+    log = _log("I" if k == 4 else "II", A, roles)
+    return ElementaryKit(A, u, {0: E0, 1: E1, 2: E2}, log, v=v)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +206,7 @@ def matrix_case2_inputs(frame: Frame, order):
 def build_kit_spin(V: JordanAlgebra, frame: Frame,
                    tol: Tolerance = DEFAULT_TOL) -> ElementaryKit:
     _require(len(frame.projections) == 2, "spin kit needs 2 projections")
-    _require(verify_frame(V, frame, tol), "spin frame verification failed")
+    _require_frame(V, frame, tol)
     p1, p2 = frame.projections
     # the construction needs 2 p1 o s = 2 p2 o s = s, which the verified
     # frame implies: U_s(p1) = p2 and s^2 = 1 give p1 s + s p1 = s
@@ -255,9 +214,7 @@ def build_kit_spin(V: JordanAlgebra, frame: Frame,
     u = s.copy()
     E1 = mult_operator(V, s) @ mult_operator(V, 2.0 * p2) @ mult_operator(V, 2.0 * p1)
     E0 = E1 @ mult_operator(V, s)
-    log = [{"case": "spin", "algebra": V.name}]
-    for role, vec in (("p1", p1), ("p2", p2), ("s", s), ("u", u)):
-        _log_element(log, role, vec)
+    log = _log("spin", V, [("p1", p1), ("p2", p2), ("s", s), ("u", u)])
     return ElementaryKit(V, u, {0: E0, 1: E1}, log)
 
 
@@ -268,16 +225,15 @@ def build_kit_spin(V: JordanAlgebra, frame: Frame,
 def _embed_kits(kits, A: JordanAlgebra, summands) -> ElementaryKit:
     n = A.dim
     u = np.zeros(n, dtype=np.complex128)
-    have_e2 = all(k.has_e2() for k in kits)
-    have_v = have_e2 and all(k.v is not None for k in kits)
-    v = np.zeros(n, dtype=np.complex128) if have_v else None
+    have_e2 = all(k.has_e2() for k in kits)      # every full kit has a v
+    v = np.zeros(n, dtype=np.complex128) if have_e2 else None
     ops = {i: np.zeros((n, n), dtype=np.complex128)
            for i in ([0, 1, 2] if have_e2 else [0, 1])}
     log = [{"case": "glued", "algebra": A.name}]
     for kit, sm in zip(kits, summands):
         sl = slice(sm.offset, sm.offset + sm.dim)
         u[sl] = kit.u
-        if have_v:
+        if have_e2:
             v[sl] = kit.v
         for i in ops:
             ops[i][sl, sl] = kit.e_ops[i]
@@ -289,55 +245,41 @@ def _embed_kits(kits, A: JordanAlgebra, summands) -> ElementaryKit:
 # one-call builder from a registry entry
 
 
-def _rotated(m: int):
-    return list(range(1, m)) + [0]
-
-
 def build_kit(entry: ZooEntry, tol: Tolerance = DEFAULT_TOL,
               alternate: bool = False) -> ElementaryKit:
     """Build the canonical kit for a zoo entry.
 
-    matrix:3 and matrix:n (n >= 5) use case 2 with the Euclidean q-part,
-    matrix:4 uses case 1, matrix:2 uses the two-projection construction,
-    spin factors the spin kit, the exceptional algebra case 2, direct sums
-    glue their summand kits.  `alternate` builds a second, genuinely
-    different kit over the same algebra by rotating projection roles.
+    Matrix and albert frames go through build_frame_kit (Case I on matrix:4,
+    Case II otherwise), except the 2-projection frame of matrix:2, which
+    takes the spin construction as spin factors do; direct sums glue their
+    summand kits.  `alternate` builds a second, genuinely different kit over
+    the same algebra: the roles rotate by one, and a spin factor swaps its
+    exchanging symmetry.  A 2-projection frame has no second kit (its role
+    swap rebuilds the same u, E0 and E1), so its alternate is refused.
     """
     A = entry.algebra
     kind = entry.kind
     if kind in ("sum", "func"):
-        kits = []
-        for sm in entry.summands:
-            if sm.dim < 2:
-                raise FrameInvalid(
-                    f"summand {sm.name!r} is 1-dimensional; no kit exists")
-            kits.append(build_kit(algebra_by_name(sm.name), tol, alternate))
+        kits = [build_kit(algebra_by_name(sm.name), tol, alternate)
+                for sm in entry.summands]
         return _embed_kits(kits, A, entry.summands)
-    if kind == "one":
-        raise FrameInvalid("1-dimensional algebra admits no kit")
+    _require(kind != "one", "the 1-dimensional algebra 'one' admits no kit")
     if kind == "spin":
         frame = entry.frame
         if alternate:
             # canonical symmetry is f2; the next unit f3 also flips f1
-            if A.dim < 4:
-                raise FrameInvalid("alternate spin kit needs a third spin unit")
-            f3 = np.zeros(A.dim, dtype=np.complex128)
-            f3[3] = 1.0
+            _require(A.dim >= 4, "alternate spin kit needs a third spin unit")
+            f3 = np.eye(A.dim, dtype=np.complex128)[3]
             frame = Frame(list(frame.projections), [FrameSymmetry(f3, 0, 1)])
         return build_kit_spin(A, frame, tol)
-    if kind == "matrix":
-        n = int(round(np.sqrt(A.dim)))
-        order = _rotated(n) if alternate else list(range(n))
-        if n == 2:
-            return build_kit_spin(A, frame_with_roles(entry.frame, order[:2]), tol)
-        if n == 4:
-            return build_kit_case1(A, frame_with_roles(entry.frame, order), tol)
-        grouped, qpart = matrix_case2_inputs(entry.frame, order)
-        return build_kit_case2(A, grouped, qpart, tol)
-    frame = entry.frame    # albert
+    order = list(range(len(entry.frame.projections)))    # matrix and albert
+    if len(order) == 2:
+        _require(not alternate, "a 2-projection frame has no alternate kit: "
+                 "swapping its roles rebuilds the same u, E0 and E1")
+        return build_kit_spin(A, entry.frame, tol)
     if alternate:
-        frame = frame_with_roles(frame, _rotated(3))
-    return build_kit_case2(A, frame, None, tol)
+        order = order[1:] + order[:1]
+    return build_frame_kit(A, entry.frame, order, tol)
 
 
 # ---------------------------------------------------------------------------

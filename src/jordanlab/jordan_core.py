@@ -199,22 +199,23 @@ def jordan_inverse(A: JordanAlgebra, a, tol: Tolerance = DEFAULT_TOL):
     return solve_linear(lhs, rhs, tol)
 
 
+def _square_residual(A: JordanAlgebra, x, target) -> float:
+    """max(|x* - x|, |x o x - target|): 0 for a projection when target is x,
+    and for a symmetry when target is the unit."""
+    x = np.asarray(x, dtype=np.complex128)
+    _check_dim(A, x)
+    return max(np.abs(star_apply(A, x) - x).max(),
+               np.abs(product(A, x, x) - target).max())
+
+
 def is_projection(A: JordanAlgebra, p, tol: Tolerance = DEFAULT_TOL) -> bool:
     """p* = p = p o p.  The zero element counts as a projection."""
-    p = np.asarray(p, dtype=np.complex128)
-    _check_dim(A, p)
-    r1 = np.abs(star_apply(A, p) - p).max()
-    r2 = np.abs(product(A, p, p) - p).max()
-    return bool(max(r1, r2) <= tol.abs_eps)
+    return bool(_square_residual(A, p, p) <= tol.abs_eps)
 
 
 def is_symmetry(A: JordanAlgebra, s, tol: Tolerance = DEFAULT_TOL) -> bool:
     """s = s* and s o s = 1.  The zero element is never a symmetry."""
-    s = np.asarray(s, dtype=np.complex128)
-    _check_dim(A, s)
-    r1 = np.abs(star_apply(A, s) - s).max()
-    r2 = np.abs(product(A, s, s) - A.unit).max()
-    return bool(max(r1, r2) <= tol.abs_eps)
+    return bool(_square_residual(A, s, A.unit) <= tol.abs_eps)
 
 
 def jordan_homomorphism_residual(A: JordanAlgebra, B: JordanAlgebra, J) -> float:

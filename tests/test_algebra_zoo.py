@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,8 @@ from jordanlab.algebra_zoo import (
     registry_names,
     spin_factor,
     spin_frame,
-    verify_frame,
 )
+from jordanlab.elementary_ops import FrameInvalid, build_frame_kit, verify_frame
 from jordanlab.jordan_core import (
     center_basis,
     check_axioms,
@@ -115,12 +116,21 @@ def _broken_matrix_frame(defect):
     return A, frame
 
 
-@pytest.mark.parametrize("defect", ["non_projection", "non_orthogonal",
-                                    "non_symmetry"])
+# the condition each defect fails first, as the kit builder names it
+FIRST_FAILURE = {"non_projection": "p1 is a projection",
+                 "non_orthogonal": "p1 o p2 = 0",
+                 "non_symmetry": "s(p1, p2) is a symmetry"}
+
+
+@pytest.mark.parametrize("defect", sorted(FIRST_FAILURE))
 def test_verify_frame_rejects(defect):
     A, frame = matrix_jordan(3)
     assert verify_frame(A, frame)
-    assert not verify_frame(*_broken_matrix_frame(defect))
+    A, broken = _broken_matrix_frame(defect)
+    assert not verify_frame(A, broken)
+    with pytest.raises(FrameInvalid, match=re.escape(
+            f"frame fails {FIRST_FAILURE[defect]}: residual ")):
+        build_frame_kit(A, broken, [0, 1, 2])
 
 
 def test_spin_axioms():

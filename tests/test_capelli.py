@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from jordanlab.capelli import (
     capelli_eval,
     independence_capelli,
     independence_gram,
-    perm_sign,
 )
 from jordanlab.numerics import DEFAULT_TOL
 
@@ -18,10 +19,52 @@ def e(n, i, j):
     return m
 
 
+def perm_sign(perm) -> int:
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+              if perm[i] > perm[j])
+    return -1 if inv % 2 else 1
+
+
+def capelli_by_permutations(xi, eta):
+    """The defining sum over S_n: the oracle for the subset recursion."""
+    acc = 0
+    for perm in permutations(range(len(xi))):
+        term = xi[perm[0]]
+        for k in range(1, len(xi)):
+            term = term @ eta[k - 1] @ xi[perm[k]]
+        acc = acc + perm_sign(perm) * term
+    return acc
+
+
 def test_perm_sign():
     assert perm_sign([0, 1, 2]) == 1
     assert perm_sign([1, 0, 2]) == -1
     assert perm_sign([2, 0, 1]) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_subset_recursion_matches_permutation_sum(n):
+    rng = np.random.default_rng(n)
+    xi = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+          for _ in range(n)]
+    eta = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+           for _ in range(n - 1)]
+    want = capelli_by_permutations(xi, eta)
+    got = capelli_eval(CapelliInput(xi, eta))
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_largest_tuple_certifies_both_ways():
+    # MAX_TUPLE matrices span at most m^2 dimensions: independent in M_4,
+    # dependent in M_3
+    assert MAX_TUPLE == 12
+    rng = np.random.default_rng(6)
+    for m, want in ((4, True), (3, False)):
+        mats = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                for _ in range(MAX_TUPLE)]
+        mats = [a / np.linalg.norm(a, 2) for a in mats]
+        assert independence_gram(mats) == want
+        assert independence_capelli(mats, trials=2) == want
 
 
 def test_single_slot_is_identity_map():

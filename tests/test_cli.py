@@ -386,6 +386,12 @@ def test_alternate_spin3_kit_exits_4():
     assert "third spin unit" in r.stderr
 
 
+def test_alternate_matrix2_kit_exits_4():
+    r = run_cli("kit", "build", "--algebra", "matrix:2", "--alternate")
+    assert r.returncode == 4
+    assert "2-projection frame has no alternate kit" in r.stderr
+
+
 def test_residual_past_the_certificate_exits_7(tmp_path):
     # 1e-7 of noise: the certificate reads 1.4e-7 and passes at tol 3e-7,
     # the standard-form residual reads 3.8e-7 and does not

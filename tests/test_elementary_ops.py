@@ -2,6 +2,8 @@
 Kronecker relations, the mid-construction identities, the perturbation
 counterexample, gluing, and JSON round-trips."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,10 +19,9 @@ from jordanlab.algebra_zoo import (
 )
 from jordanlab.elementary_ops import (
     FrameInvalid,
+    build_frame_kit,
     build_kit,
-    build_kit_case2,
     build_kit_spin,
-    matrix_case2_inputs,
     kit_from_json,
     kit_to_json,
     verify_kit,
@@ -44,8 +45,11 @@ def kronecker_table(kit):
 
 
 @pytest.mark.parametrize("name", ["matrix:2", "matrix:3", "matrix:4",
-                                  "matrix:5", "spin:4", "spin:6", "albert"])
+                                  "matrix:5", "matrix:6", "matrix:7",
+                                  "spin:4", "spin:6", "albert"])
 def test_kit_kronecker_exact(name):
+    # matrix:6 and matrix:7 are the only frames with groups of two units,
+    # where s and s' are joined from several frame symmetries
     kit = build_kit(algebra_by_name(name))
     table = kronecker_table(kit)
     assert max(table.values()) < 1e-12, table
@@ -194,20 +198,64 @@ def test_construction_log_roles():
 
 def test_case2_rejects_symmetry_that_misses_p2():
     A, frame = matrix_jordan(3)
-    grouped, qpart = matrix_case2_inputs(frame, [0, 1, 2])
-    # a symmetry, but it exchanges e00 with e22 instead of e11
-    grouped.symmetries[0] = FrameSymmetry(permutation_symmetry(3, {0: 2}), 0, 1)
-    with pytest.raises(FrameInvalid):
-        build_kit_case2(A, grouped, qpart)
+    # declared to join e00 and e11, but it exchanges e00 with e22
+    frame.symmetries[0] = FrameSymmetry(permutation_symmetry(3, {0: 2}), 0, 1)
+    with pytest.raises(FrameInvalid, match=re.escape(
+            "frame fails U_s(p1) = p2: residual 1.0e+00 > tol 1.0e-09 "
+            "(ratio 1.0e+09)")):
+        build_frame_kit(A, frame, [0, 1, 2])
 
 
 def test_case2_rejects_qpart_off_the_unit():
     A, frame = matrix_jordan(5)
-    grouped, qpart = matrix_case2_inputs(frame, range(5))
-    assert build_kit_case2(A, grouped, qpart) is not None
-    qpart.q2 = qpart.r2 = qpart.t_prime = None      # e44 left uncovered
-    with pytest.raises(FrameInvalid):
-        build_kit_case2(A, grouped, qpart)
+    assert build_frame_kit(A, frame, range(5)) is not None
+    # roles for five of the six units of matrix:6: e55 is left uncovered
+    A6, frame6 = matrix_jordan(6)
+    with pytest.raises(FrameInvalid, match="the projections sum to 1: residual 1.0e"):
+        build_frame_kit(A6, frame6, range(5))
+
+
+def test_qpart_rejects_symmetry_that_misses_q():
+    A, frame = matrix_jordan(5)
+    # the symmetry declared to join e11 and e33 exchanges e11 with e44
+    sym = next(s for s in frame.symmetries if (s.source, s.target) == (1, 3))
+    sym.element = permutation_symmetry(5, {1: 4})
+    with pytest.raises(FrameInvalid, match=re.escape("U_t1(r1) = q1: residual 1.0e+00")):
+        build_frame_kit(A, frame, range(5))
+
+
+# every built-in kit the registry can name, canonical and alternate
+ZOO_KITS = ["matrix:2", "matrix:3", "matrix:4", "matrix:5", "matrix:6",
+            "matrix:7", "spin:3", "spin:4", "spin:6", "albert",
+            "sum:matrix:3+matrix:4", "sum:matrix:2+matrix:5",
+            "sum:matrix:3+spin:4", "func:albert:2", "func:matrix:3:2"]
+
+
+# a 2-projection frame has no second kit, and spin:3 no third spin unit
+NO_ALTERNATE = {"matrix:2", "spin:3", "sum:matrix:2+matrix:5"}
+
+
+@pytest.mark.parametrize("name", ZOO_KITS)
+def test_alternate_kit_differs_or_is_refused(name):
+    entry = algebra_by_name(name)
+    if name in NO_ALTERNATE:
+        with pytest.raises(FrameInvalid):
+            build_kit(entry, alternate=True)
+        return
+    alt = build_kit(entry, alternate=True)
+    assert np.abs(alt.u - build_kit(entry).u).max() > 0.5
+
+
+@pytest.mark.parametrize("name", ZOO_KITS)
+def test_kit_entries_lie_in_eighth_integers(name):
+    entry = algebra_by_name(name)
+    kits = [build_kit(entry)]
+    if name not in NO_ALTERNATE:
+        kits.append(build_kit(entry, alternate=True))
+    for kit in kits:
+        for x in [kit.u, kit.v, *kit.e_ops.values()]:
+            if x is not None:
+                assert np.array_equal(8 * x, np.round(8 * x))
 
 
 def test_spin_kit_rejects_s_with_2p_o_s_not_s():
@@ -217,7 +265,7 @@ def test_spin_kit_rejects_s_with_2p_o_s_not_s():
     f1[1] = 1.0
     # f1 is a symmetry, but 2 p1 o f1 = 2 p1 != f1: U_f1 fixes p1
     assert np.abs(2.0 * product(V, p1, f1) - f1).max() > 0.5
-    with pytest.raises(FrameInvalid):
+    with pytest.raises(FrameInvalid, match=re.escape("frame fails U_s(p1) = p2")):
         build_kit_spin(V, Frame([p1, p2], [FrameSymmetry(f1, 0, 1)]))
 
 
