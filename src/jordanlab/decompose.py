@@ -278,23 +278,29 @@ def trace_associating_residual(A: JordanAlgebra, B: BilinearMap) -> float:
 
 
 class _Asymmetric(NotAssociating, ValueError):
-    """trace_is_associating's refusal of a map that is not symmetric."""
+    """The cyclic certificate's refusal of a map that is not symmetric."""
+
+
+def _trace_violation(A: JordanAlgebra, B: BilinearMap, tol: Tolerance,
+                     what: str = "input fails the"):
+    """The cyclic certificate's NotAssociating, or None; a B that is not
+    symmetric within tol is refused with _Asymmetric."""
+    sym = B.symmetry_residual()
+    if sym > tol.abs_eps:
+        raise _Asymmetric(f"trace is not symmetric: residual {sym:.1e} > tol "
+                          f"{tol.abs_eps:.1e} (ratio {sym / tol.abs_eps:.1e})")
+    return _violation(_cyclic_maxima(A, B), tol, what)
 
 
 def trace_is_associating(A: JordanAlgebra, B: BilinearMap,
                          tol: Tolerance = DEFAULT_TOL) -> bool:
     """The cyclic certificate within tol; B must be symmetric within tol."""
-    sym = B.symmetry_residual()
-    if sym > tol.abs_eps:
-        raise _Asymmetric(f"trace is not symmetric: residual {sym:.1e} > tol "
-                          f"{tol.abs_eps:.1e} (ratio {sym / tol.abs_eps:.1e})")
-    return _violation(_cyclic_maxima(A, B), tol) is None
+    return _trace_violation(A, B, tol) is None
 
 
 def _require_associating(A, B: BilinearMap, tol, what: str):
-    if not trace_is_associating(A, B, tol):
-        # found again: the sweep stops at the slice the verdict stopped at
-        raise _violation(_cyclic_maxima(A, B), tol, f"{what} fails the cyclic")
+    if rejection := _trace_violation(A, B, tol, f"{what} fails the cyclic"):
+        raise rejection
 
 
 def bresar_residual(A: JordanAlgebra, B: BilinearMap) -> float:
@@ -337,8 +343,9 @@ def decompose_linear(A: JordanAlgebra, T, kit: ElementaryKit,
     mu = E0 T - M_lambda E0."""
     kit = _kit_for(A, kit)
     T = as_cmatrix(T)
-    if check and not is_associating_linear(A, T, tol):
-        raise _violation(_linear_maxima(A, T), tol, "map fails the polarized")
+    if check and (rejection := _violation(_linear_maxima(A, T), tol,
+                                          "map fails the polarized")):
+        raise rejection
     lam = kit.apply(1, T @ kit.u)
     mu = kit.e_ops[0] @ T - mult_operator(A, lam) @ kit.e_ops[0]
     recon = float(np.abs(T - mult_operator(A, lam) - mu).max())

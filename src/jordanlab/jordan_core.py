@@ -36,6 +36,7 @@ __all__ = [
     "element_power",
     "star_apply",
     "commutant",
+    "ideal_blocks",
     "center_basis",
     "center_matrix",
     "center_projector",
@@ -128,11 +129,10 @@ def star_apply(A: JordanAlgebra, x) -> np.ndarray:
     return A.star @ np.conj(x)
 
 
-def _associator_blocks(A: JordanAlgebra, Mx: np.ndarray) -> np.ndarray:
-    """The blocks M_{x o b_a} - M_x M_{b_a} of y -> [x, b_a, y], stacked
-    over a into an (n^2, n) system; Mx = M_x."""
-    n = A.dim
-    c = A.structure
+def _associator_blocks(c: np.ndarray, Mx: np.ndarray) -> np.ndarray:
+    """The blocks M_{x o b_a} - M_x M_{b_a} of y -> [x, b_a, y] under the
+    structure tensor c, stacked over a into an (n^2, n) system; Mx = M_x."""
+    n = len(c)
     # column a of M_x is x o b_a, and M_y [k, j] = (y @ c)[j, k]
     blocks = (Mx.T @ c.reshape(n, n * n)).reshape(n, n, n) - c @ Mx.T
     return blocks.transpose(0, 2, 1).reshape(n * n, n)
@@ -141,27 +141,52 @@ def _associator_blocks(A: JordanAlgebra, Mx: np.ndarray) -> np.ndarray:
 def commutant(A: JordanAlgebra, x, tol: Tolerance = DEFAULT_TOL) -> list:
     """Basis of {y : [x, b_i, y] = 0 for every basis element b_i}: the
     kernel of the stacked associator blocks."""
-    return kernel_basis(_associator_blocks(A, mult_operator(A, x)), tol)
+    return kernel_basis(_associator_blocks(A.structure, mult_operator(A, x)), tol)
+
+
+def ideal_blocks(A: JordanAlgebra) -> list:
+    """Index sets of the ideals whose direct sum is A, ordered by their first
+    index; cached.  Link i ~ j when b_i o b_j != 0 and i ~ k when
+    (b_i o b_j)_k != 0: a connected component is closed under the product
+    and multiplies every other one to zero, so it spans an ideal.  Read off
+    the zero pattern of the structure tensor, the split needs no tolerance.
+    """
+    key = ("ideals",)
+    if key not in A._caches:
+        nz = A.structure != 0
+        reach = nz.any(axis=2) | nz.any(axis=1)
+        reach |= reach.T | np.eye(A.dim, dtype=bool)
+        for _ in range(int(A.dim).bit_length()):   # joins paths up to 2^k > n long
+            reach = reach @ reach
+        # row i is i's component; it is listed at its first index only
+        A._caches[key] = [np.flatnonzero(r) for i, r in enumerate(reach)
+                          if r.argmax() == i]
+    return [b.copy() for b in A._caches[key]]
 
 
 def center_basis(A: JordanAlgebra, tol: Tolerance = DEFAULT_TOL) -> list:
     """Basis of the center: elements operator commuting with everything.
 
-    Intersects the commutant systems of all basis elements.  The stacked
-    system has n^3 rows; it is compressed block by block with QR updates
-    (orthogonal transforms preserve singular values exactly), then the
-    kernel is read off the n x n triangular factor.
+    The center of a direct sum is the sum of the centers, so each ideal of
+    ideal_blocks is solved on its own sub-tensor: the commutant systems of
+    its m basis elements stack m^3 rows, compressed block by block with QR
+    updates (orthogonal transforms preserve singular values exactly); the
+    kernel of the m x m triangular factor is embedded with zeros.
     """
     key = ("center", tol.abs_eps)
     if key not in A._caches:
-        n = A.dim
-        c = A.structure
-        R = None
-        for i in range(n):
-            K = _associator_blocks(A, c[i].T)     # M_{b_i} = c[i]^T
-            stacked = K if R is None else np.vstack([R, K])
-            R = np.linalg.qr(stacked, mode="r")
-        A._caches[key] = kernel_basis(R, tol)
+        basis = []
+        for idx in ideal_blocks(A):
+            c = A.structure[np.ix_(idx, idx, idx)]
+            R = None
+            for i in range(len(idx)):
+                K = _associator_blocks(c, c[i].T)     # M_{b_i} = c[i]^T
+                stacked = K if R is None else np.vstack([R, K])
+                R = np.linalg.qr(stacked, mode="r")
+            for v in kernel_basis(R, tol):
+                basis.append(np.zeros(A.dim, dtype=np.complex128))
+                basis[-1][idx] = v
+        A._caches[key] = basis
     return [v.copy() for v in A._caches[key]]
 
 

@@ -272,6 +272,8 @@ def test_verdicts_stop_at_the_first_slice_over_tol(monkeypatch):
             drawn.append(item[0].m)
             yield item
 
+    rejected = _rejected_calls(algebra_by_name(A.name))
+    order = [s.m for s in associator_tensor(A)]
     monkeypatch.setattr(decompose, "_support_products", counting)
     for verdict, X, accepted in ((trace_is_associating, traces[0], True),
                                  (trace_is_associating, traces[1], False),
@@ -283,6 +285,13 @@ def test_verdicts_stop_at_the_first_slice_over_tol(monkeypatch):
     drawn.clear()
     trace_associating_residual(A, traces[1])
     assert len(drawn) == slices
+    # a decomposer sweeps a rejected input once, up to the slice it names
+    for call, args, _, _ in rejected:
+        drawn.clear()
+        with pytest.raises(NotAssociating) as err:
+            call(*args)
+        m = _witness(str(err.value))[0]
+        assert drawn == order[:order.index(m) + 1], call.__name__
 
 
 def _witness(message):
@@ -293,8 +302,9 @@ def _witness(message):
     return int(got[1]), *map(float, got.groups()[1:])
 
 
-def test_rejections_name_the_first_slice_over_tol():
-    entry = algebra_by_name("sum:matrix:3+matrix:4")
+def _rejected_calls(entry):
+    """(decomposer, args, message prefix, dense slice maxima) for one
+    rejected input of each decomposer on entry, a sum:matrix:3+matrix:4."""
     A, maps, traces = _certificate_inputs(entry.algebra.name)
     kit = build_kit(entry)
     rng = np.random.default_rng(51)
@@ -303,15 +313,18 @@ def test_rejections_name_the_first_slice_over_tol():
     # M_c with c the unit on matrix:3 passes every slice b_m of that summand
     c = entry.summands[0].central_projection.copy()
     c[9:] = rng.standard_normal(16)
+    return ((decompose_linear, (A, mult_operator(A, c), kit), "map fails the polarized",
+             _dense_slices(A, mult_operator(A, c), traces[0])[0]),
+            (decompose_trace, (A, traces[1], kit), "trace fails the cyclic",
+             _dense_slices(A, maps[0], traces[1])[1]),
+            (decompose_preserver, (A, A, phi, kit), "induced trace fails the cyclic",
+             _dense_slices(A, maps[0], induced)[1]))
+
+
+def test_rejections_name_the_first_slice_over_tol():
     tol = DEFAULT_TOL.abs_eps
-    cases = ((decompose_linear, (A, mult_operator(A, c), kit), "map fails the polarized",
-              _dense_slices(A, mult_operator(A, c), traces[0])[0]),
-             (decompose_trace, (A, traces[1], kit), "trace fails the cyclic",
-              _dense_slices(A, maps[0], traces[1])[1]),
-             (decompose_preserver, (A, A, phi, kit), "induced trace fails the cyclic",
-              _dense_slices(A, maps[0], induced)[1]))
     witnesses = []
-    for call, args, what, dense in cases:
+    for call, args, what, dense in _rejected_calls(algebra_by_name("sum:matrix:3+matrix:4")):
         with pytest.raises(NotAssociating) as err:
             call(*args)
         message = str(err.value)

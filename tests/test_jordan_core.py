@@ -20,6 +20,7 @@ from jordanlab.jordan_core import (
     element_from_json,
     element_power,
     element_to_json,
+    ideal_blocks,
     in_center_span,
     is_projection,
     is_symmetry,
@@ -33,6 +34,7 @@ from jordanlab.jordan_core import (
     star_map_residual,
     u_operator,
 )
+from jordanlab import genverify
 from jordanlab.numerics import DEFAULT_TOL, kernel_basis
 
 A2, _ = matrix_jordan(2)
@@ -252,8 +254,8 @@ def ref_commutant(A, x):
     return kernel_basis(blocks.reshape(n * n, n), DEFAULT_TOL)
 
 
-def ref_center_basis(A):
-    n, c = A.dim, A.structure
+def ref_center_kernel(c):
+    n = len(c)
     R = None
     for i in range(n):
         m_prod = np.einsum("am,mjk->akj", c[i], c, optimize=True)
@@ -261,6 +263,17 @@ def ref_center_basis(A):
         K = (m_prod - m_comp).reshape(n * n, n)
         R = np.linalg.qr(K if R is None else np.vstack([R, K]), mode="r")
     return kernel_basis(R, DEFAULT_TOL)
+
+
+def ref_center_basis(A):
+    """The einsum center of each ideal's sub-tensor, embedded with zeros."""
+    basis = []
+    for idx in ideal_blocks(A):
+        for v in ref_center_kernel(A.structure[np.ix_(idx, idx, idx)]):
+            z = np.zeros(A.dim, dtype=np.complex128)
+            z[idx] = v
+            basis.append(z)
+    return basis
 
 
 def same_basis(got, want):
@@ -282,3 +295,74 @@ def test_flat_contractions_match_einsum_bitwise(name):
     for z in (x, b1):
         assert same_basis(commutant(A, z), ref_commutant(A, z))
     assert same_basis(center_basis(A), ref_center_basis(A))
+
+
+# every algebra a suite of genverify runs on
+SUITE_ALGEBRAS = sorted({*genverify.KIT_ALGEBRAS, *genverify.DECOMPOSE_ALGEBRAS,
+                         *genverify.PRESERVER_ALGEBRAS, *genverify.TOPPING_ALGEBRAS,
+                         *genverify.SPIN_ALGEBRAS, *genverify.CAPELLI_ALGEBRAS,
+                         "sum:one+matrix:2"})
+MULTI_IDEAL = [name for name in SUITE_ALGEBRAS if name.startswith(("sum:", "func:"))]
+
+
+def projector(basis):
+    Z = np.stack(basis, axis=1)
+    return Z @ Z.conj().T
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("func:albert:2", [27, 27]), ("sum:matrix:3+matrix:4", [9, 16]),
+    ("sum:one+matrix:3", [1, 9]), ("matrix:3", [9]), ("spin:4", [4]),
+    ("albert", [27])])
+def test_ideal_blocks_split_a_direct_sum_exactly(name, sizes):
+    A = algebra_by_name(name).algebra
+    blocks = ideal_blocks(A)
+    assert [len(b) for b in blocks] == sizes
+    assert np.array_equal(np.concatenate(blocks), np.arange(A.dim))
+    for I in blocks:
+        for J in blocks:
+            if I is not J:
+                assert not A.structure[np.ix_(I, J)].any()
+
+
+def test_a_sum_in_a_random_basis_is_one_block_with_the_same_center():
+    A = algebra_by_name("sum:matrix:3+matrix:4").algebra
+    n = A.dim
+    Q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((n, n)))
+    # b'_i = sum_a Q[a, i] b_a, so c'[i, j, l] = Q[a, i] Q[b, j] c[a, b, k] Q[k, l]
+    c = np.einsum("ai,bj,abk,kl->ijl", Q, Q, A.structure, Q, optimize=True)
+    R = JordanAlgebra(name="rotated", dim=n, structure=c, unit=Q.T @ A.unit,
+                      star=Q.T @ A.star @ Q)
+    assert [len(b) for b in ideal_blocks(R)] == [n]
+    assert len(center_basis(R)) == 2
+
+
+@pytest.mark.parametrize("name", SUITE_ALGEBRAS)
+def test_center_dimension_counts_the_simple_summands(name):
+    entry = algebra_by_name(name)
+    summands = len(entry.summands) if entry.summands else 1
+    assert len(center_basis(entry.algebra)) == summands
+
+
+@pytest.mark.parametrize("name", MULTI_IDEAL)
+def test_per_ideal_center_spans_the_whole_algebra_center(name):
+    A = algebra_by_name(name).algebra
+    whole = ref_center_kernel(A.structure)
+    assert len(whole) == len(center_basis(A))
+    assert np.abs(projector(center_basis(A)) - projector(whole)).max() <= 1e-14
+
+
+def test_center_stacks_no_system_wider_than_an_ideal(monkeypatch):
+    A = algebra_by_name("func:albert:2").algebra
+    cold = JordanAlgebra(name=A.name, dim=A.dim, structure=A.structure,
+                         unit=A.unit, star=A.star)
+    widths = []
+    qr = np.linalg.qr
+
+    def recording(M, *args, **kwargs):
+        widths.append(M.shape[1])
+        return qr(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", recording)
+    assert len(center_basis(cold)) == 2
+    assert widths and max(widths) == 27
