@@ -45,6 +45,7 @@ from jordanlab.jordan_core import (
     u_operator,
 )
 from jordanlab.numerics import DEFAULT_TOL, Tolerance
+from test_jordan_core import in_basis, rand_mat, rotated
 
 E3 = algebra_by_name("matrix:3")
 A3 = E3.algebra
@@ -194,17 +195,50 @@ def _certificate_inputs(name):
     return A, maps, traces
 
 
-@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
-                                  "sum:matrix:3+matrix:4"])
-def test_certificates_match_dense_sweep(name):
+def _unitary_inputs(name):
+    """_certificate_inputs(name) carried to a seeded random unitary basis: its
+    structure constants are complex, and its slices have few or no repeated
+    columns."""
     A, maps, traces = _certificate_inputs(name)
+    Q, _ = np.linalg.qr(rand_mat(np.random.default_rng(62), A.dim))
+    R = rotated(A, Q)
+    return (R, [Q.conj().T @ T @ Q for T in maps],
+            [BilinearMap(R, in_basis(B.tensor, Q)) for B in traces])
+
+
+@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4", "unitary:matrix:3"])
+def test_certificates_match_dense_sweep(name):
+    unitary = name.startswith("unitary:")
+    A, maps, traces = (_unitary_inputs(name.removeprefix("unitary:")) if unitary
+                       else _certificate_inputs(name))
     for T, B in zip(maps, traces):
         got = (associating_linear_residual(A, T), trace_associating_residual(A, B),
                bresar_residual(A, B))
         want = [slices.max() for slices in _dense_slices(A, T, B)]
         for g, w in zip(got, want):
             assert (g <= DEFAULT_TOL.abs_eps) == (w <= DEFAULT_TOL.abs_eps)
-            assert abs(g - w) <= 1e-14 * w
+            # in a rotated basis the two sweeps round differently
+            assert abs(g - w) <= (1e-14 if unitary else 1e-14 * w)
+
+
+@pytest.mark.parametrize("name", ["matrix:3", "spin:4", "albert",
+                                  "sum:matrix:3+matrix:4"])
+def test_each_slice_multiplies_its_distinct_columns_once(name):
+    A = algebra_by_name(name).algebra
+    n = A.dim
+    W = np.einsum("amc,czl->amzl", A.structure, A.structure)
+    assoc = W - W.transpose(2, 1, 0, 3)   # assoc[a, m, z, l] = [b_a, b_m, b_z]_l
+    # integer entries and dyadic structure constants: every sum is exact
+    rng = np.random.default_rng(63)
+    X = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+    support = associator_tensor(A)
+    assert [s.m for s in support] == [m for m in range(n) if assoc[:, m].any()]
+    for s, P in decompose._support_products(support, X):
+        assert len({column.tobytes() for column in s.block.T}) == s.block.shape[1]
+        dense = (X @ assoc[:, s.m].reshape(n, n * n)).reshape(n, n, n)
+        assert np.array_equal(P[:, s.where], dense), s.m
+        assert np.array_equal(P[:, s.where[s.z, s.l]], dense[:, s.z, s.l]), s.m
 
 
 def test_certificate_holds_no_dense_tensor_and_reads_the_symmetric_part():

@@ -325,14 +325,25 @@ def test_ideal_blocks_split_a_direct_sum_exactly(name, sizes):
                 assert not A.structure[np.ix_(I, J)].any()
 
 
+def in_basis(t, Q):
+    """The (n, n, n) tensor t of a product-like map in the basis
+    b'_i = sum_a Q[a, i] b_a of a unitary Q:
+    t'[i, j, l] = Q[a, i] Q[b, j] t[a, b, k] conj(Q)[k, l]."""
+    return np.einsum("ai,bj,abk,kl->ijl", Q, Q, t, Q.conj(), optimize=True)
+
+
+def rotated(A, Q):
+    """A in the basis of the unitary Q (see in_basis); x* = star @ conj(x)."""
+    return JordanAlgebra(name=f"rotated:{A.name}", dim=A.dim,
+                         structure=in_basis(A.structure, Q), unit=Q.conj().T @ A.unit,
+                         star=Q.conj().T @ A.star @ Q.conj())
+
+
 def test_a_sum_in_a_random_basis_is_one_block_with_the_same_center():
     A = algebra_by_name("sum:matrix:3+matrix:4").algebra
     n = A.dim
     Q, _ = np.linalg.qr(np.random.default_rng(61).standard_normal((n, n)))
-    # b'_i = sum_a Q[a, i] b_a, so c'[i, j, l] = Q[a, i] Q[b, j] c[a, b, k] Q[k, l]
-    c = np.einsum("ai,bj,abk,kl->ijl", Q, Q, A.structure, Q, optimize=True)
-    R = JordanAlgebra(name="rotated", dim=n, structure=c, unit=Q.T @ A.unit,
-                      star=Q.T @ A.star @ Q)
+    R = rotated(A, Q)
     assert [len(b) for b in ideal_blocks(R)] == [n]
     assert len(center_basis(R)) == 2
 
